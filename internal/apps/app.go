@@ -156,7 +156,7 @@ func (a *App) BuildInitial(now time.Duration) (time.Duration, error) {
 		act := a.activities[a.R.Intn(len(a.activities))]
 		stall += a.note(a.H.AddRef(act, v, now))
 		a.views = append(a.views, v)
-		nroBytes += int64(a.H.Object(v).Size)
+		nroBytes += int64(a.H.Size(v))
 	}
 	a.dataBytes += nroBytes
 
@@ -215,7 +215,7 @@ func (a *App) dropChain(now time.Duration) time.Duration {
 	i := a.R.Intn(len(a.chains))
 	c := a.chains[i]
 	for _, id := range c.ids {
-		a.dataBytes -= int64(a.H.Object(id).Size)
+		a.dataBytes -= int64(a.H.Size(id))
 	}
 	stall := a.note(a.H.SetRef(c.view, c.slot, heap.NilObject, now))
 	a.chains[i] = a.chains[len(a.chains)-1]
@@ -332,7 +332,7 @@ func (a *App) sampleAccess() heap.ObjectID {
 		return a.views[a.R.Zipf(len(a.views), 1.3)]
 	case a.R.Bool(0.5) && len(a.recentDeep) > 0:
 		id := a.recentDeep[len(a.recentDeep)-1-a.R.Zipf(len(a.recentDeep), 1.2)]
-		if a.H.Object(id).Live() {
+		if a.H.Live(id) {
 			return id
 		}
 		return heap.NilObject
@@ -358,7 +358,7 @@ func (a *App) EnterBackground(now time.Duration) {
 		case len(a.views) > 0:
 			id = a.views[a.R.Intn(len(a.views))]
 		}
-		if id != heap.NilObject && a.H.Object(id).Live() {
+		if id != heap.NilObject && a.H.Live(id) {
 			a.bgWS = append(a.bgWS, id)
 		}
 	}
@@ -393,7 +393,7 @@ func (a *App) BackgroundTick(now, dt time.Duration) (time.Duration, error) {
 	}
 	for i := 0; i < a.BgAccessesPerTick && len(a.bgWS) > 0 && a.err == nil; i++ {
 		id := a.bgWS[a.R.Intn(len(a.bgWS))]
-		if a.H.Object(id).Live() {
+		if a.H.Live(id) {
 			stall += a.note(a.H.Access(id, a.R.Bool(0.2), now))
 		}
 	}
@@ -420,7 +420,7 @@ func (a *App) LaunchSet() []heap.ObjectID {
 				idx = a.R.Intn(len(pool))
 			}
 			id := pool[idx]
-			if a.H.Object(id).Live() {
+			if a.H.Live(id) {
 				set = append(set, id)
 			}
 		}

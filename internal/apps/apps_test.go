@@ -121,7 +121,7 @@ func TestBuildInitialReachesSteadyState(t *testing.T) {
 	// NRO structure should be ~10% of the heap.
 	var nro int64
 	for _, v := range a.Views() {
-		nro += int64(a.H.Object(v).Size)
+		nro += int64(a.H.Size(v))
 	}
 	frac := float64(nro) / float64(a.H.LiveBytes())
 	if frac < 0.03 || frac > 0.3 {

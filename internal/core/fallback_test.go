@@ -27,7 +27,7 @@ func TestLeakFallbackTriggersFullGC(t *testing.T) {
 	// it (it refuses to trace FGO), only the fallback can.
 	h.ClearRefs(deep[0], 101*time.Second)
 	fgoGarbage := deep[5]
-	garbageSeq := h.Object(fgoGarbage).Seq
+	garbageSeq := h.Seq(fgoGarbage)
 
 	// Background cycles that allocate but keep everything alive via a
 	// dirty FGO, so BGC reclaims ~nothing (low yield).
@@ -99,7 +99,7 @@ func TestDisableColdAdviseAblation(t *testing.T) {
 	f.RunGrouping(100 * time.Second)
 	// Without COLD_RUNTIME nothing was proactively swapped.
 	for _, id := range deep {
-		if !vm.Resident(h.AS, h.Object(id).Addr) {
+		if !vm.Resident(h.AS, h.Addr(id)) {
 			t.Fatal("cold object swapped despite DisableColdAdvise")
 		}
 	}
@@ -119,7 +119,7 @@ func TestDisableHotAdviceAblation(t *testing.T) {
 	f.RunGrouping(100 * time.Second)
 	f.RefreshAdvice()
 	for _, id := range nros {
-		p := h.AS.PageByIndex(h.Object(id).Addr / units.PageSize)
+		p := h.AS.PageByIndex(h.Addr(id) / units.PageSize)
 		if p != nil && p.Hot {
 			t.Fatal("launch page marked hot despite DisableHotAdvice")
 		}

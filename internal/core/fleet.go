@@ -156,21 +156,20 @@ func (f *Fleet) WriteBarrier(id heap.ObjectID) {
 	if f.card == nil || f.state == StateInactive {
 		return
 	}
-	o := f.h.Object(id)
-	if f.h.RegionByID(o.Region).FGO {
-		f.card.MarkDirty(o.Addr)
+	if f.h.RegionOf(id).FGO {
+		f.card.MarkDirty(f.h.Addr(id))
 	}
 }
 
 // classify computes an object's class given its BFS depth (§5.3.1 rules).
-func (f *Fleet) classify(o *heap.Object, depth int, now time.Duration) Class {
+func (f *Fleet) classify(id heap.ObjectID, depth int, now time.Duration) Class {
 	if depth >= 0 && depth <= f.cfg.NRODepth {
 		return ClassNRO
 	}
-	if f.h.RegionByID(o.Region).NewlyAllocated {
+	if f.h.RegionOf(id).NewlyAllocated {
 		return ClassFYO
 	}
-	if now-o.LastAccess <= f.cfg.WSWindow {
+	if now-f.h.LastAccess(id) <= f.cfg.WSWindow {
 		return ClassWS
 	}
 	return ClassCold
@@ -218,22 +217,22 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 		BFS: true,
 		Now: now,
 		OnVisit: func(id heap.ObjectID, depth int) {
-			o := h.Object(id)
-			c := f.classify(o, depth, now)
+			c := f.classify(id, depth, now)
 			f.classes[id] = c
+			size := int64(h.Size(id))
 			switch c {
 			case ClassNRO:
 				gs.NRO++
-				gs.NROBytes += int64(o.Size)
+				gs.NROBytes += size
 			case ClassFYO:
 				gs.FYO++
-				gs.FYOBytes += int64(o.Size)
+				gs.FYOBytes += size
 			case ClassWS:
 				gs.WS++
-				gs.WSBytes += int64(o.Size)
+				gs.WSBytes += size
 			default:
 				gs.Cold++
-				gs.ColdBytes += int64(o.Size)
+				gs.ColdBytes += size
 			}
 		},
 	})
@@ -251,13 +250,13 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 	ev := h.NewEvacuator()
 	for _, r := range from {
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionID(id) != r.ID {
 				continue
 			}
+			size := int64(h.Size(id))
 			if !h.Marked(id) {
 				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
+				res.BytesFreed += size
 				h.KillObject(id)
 				continue
 			}
@@ -272,8 +271,8 @@ func (f *Fleet) RunGrouping(now time.Duration) gc.Result {
 			}
 			ev.Copy(id, kind)
 			res.ObjectsCopied++
-			res.BytesCopied += int64(o.Size)
-			res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
+			res.BytesCopied += size
+			res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*size)
 		}
 	}
 	ev.Finish()
@@ -365,7 +364,7 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 	allocSinceGC := h.BytesSinceGC
 
 	isBGO := func(id heap.ObjectID) bool {
-		return !h.RegionByID(h.Object(id).Region).FGO
+		return !h.RegionOf(id).FGO
 	}
 
 	// Seeds: roots + dirty-card FGO, staged through the heap's reusable
@@ -382,11 +381,10 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 			return
 		}
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionID(id) != r.ID {
 				continue
 			}
-			if o.Addr+int64(o.Size) <= start || o.Addr >= start+size {
+			if addr := h.Addr(id); addr+int64(h.Size(id)) <= start || addr >= start+size {
 				continue
 			}
 			seeds = append(seeds, id)
@@ -414,18 +412,18 @@ func (f *Fleet) RunBGC(now time.Duration) gc.Result {
 	ev := h.NewEvacuator()
 	for _, r := range from {
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionID(id) != r.ID {
 				continue
 			}
+			size := int64(h.Size(id))
 			if h.Marked(id) {
 				ev.Copy(id, heap.KindNormal)
 				res.ObjectsCopied++
-				res.BytesCopied += int64(o.Size)
-				res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
+				res.BytesCopied += size
+				res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*size)
 			} else {
 				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
+				res.BytesFreed += size
 				h.KillObject(id)
 			}
 		}

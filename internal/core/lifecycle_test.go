@@ -59,7 +59,7 @@ func TestFullLifecycleCycles(t *testing.T) {
 
 		// Hot launch: NRO must be resident.
 		for _, id := range nros {
-			if !vm.Resident(h.AS, h.Object(id).Addr) {
+			if !vm.Resident(h.AS, h.Addr(id)) {
 				t.Fatalf("cycle %d: NRO swapped at launch", cycle)
 			}
 		}

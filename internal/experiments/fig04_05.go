@@ -120,7 +120,7 @@ func Fig4(p Params) Fig4Result {
 	rig.App.H.AccessSampler = func(id heap.ObjectID, write bool) {
 		res.Points = append(res.Points, Fig4Point{
 			TimeSec: rig.now.Seconds(),
-			Seq:     rig.App.H.Object(id).Seq,
+			Seq:     rig.App.H.Seq(id),
 		})
 	}
 
@@ -138,12 +138,11 @@ func Fig4(p Params) Fig4Result {
 	i := 0
 	h := rig.App.H
 	for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
-		o := h.Object(id)
-		if !o.Live() {
+		if !h.Live(id) {
 			continue
 		}
 		if i%100 == 0 {
-			res.Points = append(res.Points, Fig4Point{TimeSec: rig.now.Seconds(), Seq: o.Seq, GC: true})
+			res.Points = append(res.Points, Fig4Point{TimeSec: rig.now.Seconds(), Seq: h.Seq(id), GC: true})
 		}
 		i++
 	}
@@ -211,12 +210,12 @@ func Fig5(p Params) Fig5Result {
 		h := rig.App.H
 		snapshot := func() {
 			for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
-				o := h.Object(id)
-				if !o.Live() {
+				if !h.Live(id) {
 					continue
 				}
-				if _, ok := objs[o.Seq]; !ok {
-					objs[o.Seq] = &rec{fgo: o.Epoch == heap.EpochForeground}
+				seq := h.Seq(id)
+				if _, ok := objs[seq]; !ok {
+					objs[seq] = &rec{fgo: h.Epoch(id) == heap.EpochForeground}
 				}
 			}
 		}
@@ -229,8 +228,8 @@ func Fig5(p Params) Fig5Result {
 			// Mark survivors.
 			alive := map[uint64]bool{}
 			for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
-				if o := h.Object(id); o.Live() {
-					alive[o.Seq] = true
+				if h.Live(id) {
+					alive[h.Seq(id)] = true
 				}
 			}
 			for seq, r := range objs {
@@ -300,14 +299,13 @@ func Fig5(p Params) Fig5Result {
 		var fgo, bgo int64
 		h := rig.App.H
 		for id := heap.ObjectID(1); int(id) < h.ObjectTableSize(); id++ {
-			o := h.Object(id)
-			if !o.Live() {
+			if !h.Live(id) {
 				continue
 			}
-			if o.Epoch == heap.EpochForeground {
-				fgo += int64(o.Size)
+			if h.Epoch(id) == heap.EpochForeground {
+				fgo += int64(h.Size(id))
 			} else {
-				bgo += int64(o.Size)
+				bgo += int64(h.Size(id))
 			}
 		}
 		return Fig5Footprint{

@@ -70,7 +70,7 @@ func launchCoverage(rig *soloRig, fl *core.Fleet, fyoGen int32) (nro, fyo, both 
 		// FYO membership is independent of the classifier's precedence:
 		// an object allocated just before the switch can be both NRO and
 		// FYO (the paper's sets overlap).
-		isFYO := h.Object(id).AllocGC == fyoGen
+		isFYO := h.AllocGC(id) == fyoGen
 		if isNRO {
 			cN++
 		}

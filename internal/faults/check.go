@@ -90,7 +90,7 @@ func Check(vm *vmem.Manager, spaces []*mem.AddressSpace, heaps []*heap.Heap) []s
 func checkHeap(h *heap.Heap, addf func(string, ...any)) {
 	owner := h.AS.Owner
 	var liveBytes, liveCount int64
-	h.ForEachLiveObject(func(id heap.ObjectID, o *heap.Object) {
+	h.ForEachLiveObject(func(id heap.ObjectID, o heap.Object) {
 		liveCount++
 		liveBytes += int64(o.Size)
 		r := h.RegionByID(o.Region)
@@ -115,8 +115,7 @@ func checkHeap(h *heap.Heap, addf func(string, ...any)) {
 			addf("%s: region %d overfull (%d bytes used)", owner, r.ID, r.Used)
 		}
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if o.Live() && o.Region == r.ID {
+			if h.Live(id) && h.RegionID(id) == r.ID {
 				listed++
 			}
 		}

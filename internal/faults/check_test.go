@@ -124,10 +124,10 @@ func TestCheckCounterClasses(t *testing.T) {
 }
 
 func TestCheckHeapClasses(t *testing.T) {
-	liveObject := func(t *testing.T, h *heap.Heap) (heap.ObjectID, *heap.Object) {
+	liveObject := func(t *testing.T, h *heap.Heap) (heap.ObjectID, heap.Object) {
 		t.Helper()
 		var id heap.ObjectID
-		h.ForEachLiveObject(func(i heap.ObjectID, _ *heap.Object) {
+		h.ForEachLiveObject(func(i heap.ObjectID, _ heap.Object) {
 			if id == heap.NilObject {
 				id = i
 			}
@@ -148,15 +148,17 @@ func TestCheckHeapClasses(t *testing.T) {
 	t.Run("object outside region span", func(t *testing.T) {
 		vm, h := newRig(1024, 512)
 		buildGraph(h, 100)
-		_, o := liveObject(t, h)
+		id, o := liveObject(t, h)
 		o.Addr += 100 * units.RegionSize
+		h.Corrupt(id, o)
 		checkFinds(t, vm, h, "outside region")
 	})
 	t.Run("live bytes mismatch", func(t *testing.T) {
 		vm, h := newRig(1024, 512)
 		buildGraph(h, 100)
-		_, o := liveObject(t, h)
+		id, o := liveObject(t, h)
 		o.Size-- // walk sum now trails the heap's counter
+		h.Corrupt(id, o)
 		checkFinds(t, vm, h, "live bytes")
 	})
 	t.Run("region overfull", func(t *testing.T) {
@@ -182,6 +184,7 @@ func TestCheckHeapClasses(t *testing.T) {
 			t.Skipf("heap has a single region; cannot mispoint object %d", id)
 		}
 		o.Region = other.ID
+		h.Corrupt(id, o)
 		checkFinds(t, vm, h, "region object lists name")
 	})
 }

@@ -238,13 +238,14 @@ func TestCheckDetectsPlantedCorruption(t *testing.T) {
 			break
 		}
 	}
-	o := h.Object(id)
-	saved := o.Addr
-	o.Addr += 100 * units.RegionSize
+	saved := h.Object(id)
+	moved := saved
+	moved.Addr += 100 * units.RegionSize
+	h.Corrupt(id, moved)
 	if v := faults.Check(vm, []*mem.AddressSpace{h.AS}, []*heap.Heap{h}); len(v) == 0 {
 		t.Error("planted object-placement corruption not detected")
 	}
-	o.Addr = saved
+	h.Corrupt(id, saved)
 	if v := faults.Check(vm, []*mem.AddressSpace{h.AS}, []*heap.Heap{h}); len(v) != 0 {
 		t.Errorf("restored system still reports violations: %v", v)
 	}

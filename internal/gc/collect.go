@@ -6,7 +6,6 @@ import (
 
 	"fleetsim/internal/cardtable"
 	"fleetsim/internal/heap"
-	"fleetsim/internal/units"
 )
 
 // Kind identifies a collector for result reporting.
@@ -98,9 +97,8 @@ func (rs *RememberedSet) Table() *cardtable.Table { return rs.table }
 // Barrier is the write-barrier hook: writes to objects in old regions dirty
 // their card.
 func (rs *RememberedSet) Barrier(id heap.ObjectID) {
-	o := rs.h.Object(id)
-	if !rs.h.RegionByID(o.Region).NewlyAllocated {
-		rs.table.MarkDirty(o.Addr)
+	if !rs.h.RegionOf(id).NewlyAllocated {
+		rs.table.MarkDirty(rs.h.Addr(id))
 	}
 }
 
@@ -119,19 +117,15 @@ func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result, now
 			return
 		}
 		forObjectsOverlapping(h, r, start, size, func(id heap.ObjectID) {
-			o := h.Object(id)
+			size := h.Size(id)
 			res.ObjectsTraced++
-			res.BytesTraced += int64(o.Size)
-			res.GCThreadCPU += visitCost(o.Size)
-			stall, terr := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), false)
+			res.BytesTraced += int64(size)
+			res.GCThreadCPU += visitCost(size)
+			stall, terr := h.VM.TouchRange(h.AS, h.Addr(id), int64(size), false)
 			res.GCFaultStall += stall
 			res.noteErr(terr)
-			for _, ref := range o.Refs {
-				if ref == heap.NilObject {
-					continue
-				}
-				ro := h.Object(ref)
-				if ro.Live() && h.RegionByID(ro.Region).NewlyAllocated {
+			for _, ref := range h.Refs(id) {
+				if h.Live(ref) && h.RegionOf(ref).NewlyAllocated {
 					seeds = append(seeds, ref)
 				}
 			}
@@ -147,16 +141,15 @@ func (rs *RememberedSet) appendCardSeeds(seeds []heap.ObjectID, res *Result, now
 func forObjectsOverlapping(h *heap.Heap, r *heap.Region, start, size int64, fn func(heap.ObjectID)) {
 	objs := r.Objects
 	lo := sort.Search(len(objs), func(i int) bool {
-		o := h.Object(objs[i])
-		return o.Addr+int64(o.Size) > start
+		return h.Addr(objs[i])+int64(h.Size(objs[i])) > start
 	})
 	for i := lo; i < len(objs); i++ {
-		o := h.Object(objs[i])
-		if o.Addr >= start+size {
+		id := objs[i]
+		if h.Addr(id) >= start+size {
 			break
 		}
-		if o.Live() && o.Region == r.ID {
-			fn(objs[i])
+		if h.Live(id) && h.RegionID(id) == r.ID {
+			fn(id)
 		}
 	}
 }
@@ -187,7 +180,7 @@ func Minor(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 	h.BeginTrace()
 	st := Trace(h, seeds, TraceOpts{
 		ShouldTrace: func(id heap.ObjectID) bool {
-			return h.RegionByID(h.Object(id).Region).NewlyAllocated
+			return h.RegionOf(id).NewlyAllocated
 		},
 		Now: now,
 	})
@@ -198,7 +191,7 @@ func Minor(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 	res.GCFaultStall += st.FaultStall
 	res.noteErr(st.Err)
 
-	evacuate(h, &res, young, func(o *heap.Object) heap.RegionKind { return heap.KindNormal })
+	evacuate(h, &res, young)
 	res.PauseSTW += FinalPause
 	h.NoteGCComplete()
 	return res
@@ -236,9 +229,8 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 		}
 		var live int64
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if o.Live() && o.Region == r.ID && h.Marked(id) {
-				live += int64(o.Size)
+			if h.Live(id) && h.RegionID(id) == r.ID && h.Marked(id) {
+				live += int64(h.Size(id))
 			}
 		}
 		if float64(live)/float64(r.Used) < EvacuateLiveRatio {
@@ -247,7 +239,7 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 			dense = append(dense, r)
 		}
 	})
-	evacuate(h, &res, sparse, func(o *heap.Object) heap.RegionKind { return heap.KindNormal })
+	evacuate(h, &res, sparse)
 	for _, r := range dense {
 		collectInPlace(h, &res, r)
 	}
@@ -267,8 +259,7 @@ func Major(h *heap.Heap, rs *RememberedSet, now time.Duration) Result {
 func collectInPlace(h *heap.Heap, res *Result, r *heap.Region) {
 	kept := r.Objects[:0]
 	for _, id := range r.Objects {
-		o := h.Object(id)
-		if !o.Live() || o.Region != r.ID {
+		if !h.Live(id) || h.RegionID(id) != r.ID {
 			continue
 		}
 		if h.Marked(id) {
@@ -276,30 +267,30 @@ func collectInPlace(h *heap.Heap, res *Result, r *heap.Region) {
 			continue
 		}
 		res.ObjectsFreed++
-		res.BytesFreed += int64(o.Size)
+		res.BytesFreed += int64(h.Size(id))
 		h.KillObject(id)
 	}
 	r.Objects = kept
 }
 
-// evacuate copies marked objects out of the given from-regions (kind chosen
-// per object by kindOf), kills the rest, and frees the from-regions.
-func evacuate(h *heap.Heap, res *Result, from []*heap.Region, kindOf func(*heap.Object) heap.RegionKind) {
+// evacuate copies marked objects out of the given from-regions into normal
+// to-regions, kills the rest, and frees the from-regions.
+func evacuate(h *heap.Heap, res *Result, from []*heap.Region) {
 	ev := h.NewEvacuator()
 	for _, r := range from {
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionID(id) != r.ID {
 				continue // stale entry (already moved this cycle)
 			}
+			size := h.Size(id)
 			if h.Marked(id) {
-				ev.Copy(id, kindOf(o))
+				ev.Copy(id, heap.KindNormal)
 				res.ObjectsCopied++
-				res.BytesCopied += int64(o.Size)
-				res.GCThreadCPU += copyCost(o.Size)
+				res.BytesCopied += int64(size)
+				res.GCThreadCPU += copyCost(size)
 			} else {
 				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
+				res.BytesFreed += int64(size)
 				h.KillObject(id)
 			}
 		}
@@ -311,5 +302,4 @@ func evacuate(h *heap.Heap, res *Result, from []*heap.Region, kindOf func(*heap.
 		h.FreeRegion(r)
 		res.RegionsFreed++
 	}
-	_ = units.RegionSize
 }

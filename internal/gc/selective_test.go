@@ -40,7 +40,7 @@ func TestMajorKeepsDenseRegionsInPlace(t *testing.T) {
 
 	addrBefore := map[heap.ObjectID]int64{}
 	for _, id := range dense {
-		addrBefore[id] = h.Object(id).Addr
+		addrBefore[id] = h.Addr(id)
 	}
 
 	Major(h, nil, time.Second)
@@ -49,7 +49,7 @@ func TestMajorKeepsDenseRegionsInPlace(t *testing.T) {
 		if !h.Object(id).Live() {
 			t.Fatal("dense live object collected")
 		}
-		if h.Object(id).Addr != addrBefore[id] {
+		if h.Addr(id) != addrBefore[id] {
 			t.Fatal("dense region was evacuated; expected in-place collection")
 		}
 	}
@@ -124,7 +124,7 @@ func TestEvacuatorPinDest(t *testing.T) {
 	ev.PinDest = true
 	ev.Copy(a, heap.KindNormal)
 	ev.Finish()
-	p := h.AS.PageByIndex(units.PageIndex(h.Object(a).Addr))
+	p := h.AS.PageByIndex(units.PageIndex(h.Addr(a)))
 	if p == nil || !p.Pinned {
 		t.Error("destination page not pinned")
 	}

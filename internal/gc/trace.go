@@ -64,27 +64,24 @@ type TraceOpts struct {
 // reentrant for a given heap (one GC thread per runtime, as on the
 // device).
 func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
+	v := h.SoAView()
 	if opts.ShouldTrace == nil && opts.OnVisit == nil && opts.NoTouch {
-		if v := h.SoAView(); !v.Compat {
-			return traceFast(h, v, seeds, opts.BFS)
-		}
+		return traceFast(h, v, seeds, opts.BFS)
 	}
 	var st TraceStats
 	scratch := h.Scratch()
 	queue := scratch.Queue[:0]
-	// The callback-bearing loop also drives its mark checks through the
-	// dense mark/size table when the CSR layout is active: one 8-byte load
-	// per examined reference (the dead sentinel folds in nil/dead, see
-	// traceFast) instead of loading the ~96-byte Object record per edge.
-	// Callbacks are pure predicates over heap state, so skipping them for
-	// already-marked references (which the table check does first) is
-	// unobservable. No callback allocates, so the view stays valid.
-	v := h.SoAView()
+	// The callback-bearing loop drives its mark checks through the dense
+	// mark/size column: one 8-byte load per examined reference (the dead
+	// sentinel folds in nil/dead, see traceFast). Callbacks are pure
+	// predicates over heap state, so skipping them for already-marked
+	// references (which the column check does first) is unobservable. No
+	// callback allocates or rewrites references, so the view stays valid.
 	const hi32 uint64 = 0xffffffff_00000000
 	ms, gen, gen64 := v.MarkSize, v.Gen, uint64(v.Gen)
-	useSoA := !v.Compat
+	spans, edges := v.EdgeSpans, v.Edges
 	for _, id := range seeds {
-		if id == heap.NilObject || !h.Object(id).Live() {
+		if !h.Live(id) {
 			continue
 		}
 		if h.Mark(id) {
@@ -93,12 +90,12 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 	}
 
 	visit := func(it heap.TraceItem) {
-		o := h.Object(it.ID)
+		size := h.Size(it.ID)
 		st.ObjectsTraced++
-		st.BytesTraced += int64(o.Size)
-		st.CPU += visitCost(o.Size)
+		st.BytesTraced += int64(size)
+		st.CPU += visitCost(size)
 		if !opts.NoTouch && (opts.ShouldTouch == nil || opts.ShouldTouch(it.ID)) {
-			stall, err := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), false)
+			stall, err := h.VM.TouchRange(h.AS, h.Addr(it.ID), int64(size), false)
 			st.FaultStall += stall
 			if err != nil && st.Err == nil {
 				st.Err = err
@@ -110,38 +107,20 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 		if opts.OnVisit != nil {
 			opts.OnVisit(it.ID, int(it.Depth))
 		}
-		if useSoA {
-			for _, ref := range o.Refs {
-				w := ms[uint32(ref)]
-				if uint32(w) >= gen {
-					continue // nil, dead or already marked
-				}
-				if opts.ShouldTrace != nil && !opts.ShouldTrace(ref) {
-					// Live by fiat; mark so evacuation sees it, but
-					// never touch or descend.
-					ms[uint32(ref)] = w&hi32 | gen64
-					continue
-				}
-				ms[uint32(ref)] = w&hi32 | gen64
-				queue = append(queue, heap.TraceItem{ID: ref, Depth: it.Depth + 1})
+		s := spans[it.ID]
+		off := s >> 32
+		for _, ref := range edges[off : off+(s&0xffffffff)] {
+			w := ms[uint32(ref)]
+			if uint32(w) >= gen {
+				continue // nil, dead or already marked
 			}
-			return
-		}
-		for _, ref := range o.Refs {
-			if ref == heap.NilObject {
-				continue
-			}
-			ro := h.Object(ref)
-			if !ro.Live() {
-				continue
-			}
+			ms[uint32(ref)] = w&hi32 | gen64
 			if opts.ShouldTrace != nil && !opts.ShouldTrace(ref) {
-				h.Mark(ref)
+				// Live by fiat: marked so evacuation sees it, but never
+				// touched or descended into.
 				continue
 			}
-			if h.Mark(ref) {
-				queue = append(queue, heap.TraceItem{ID: ref, Depth: it.Depth + 1})
-			}
+			queue = append(queue, heap.TraceItem{ID: ref, Depth: it.Depth + 1})
 		}
 	}
 
@@ -165,9 +144,9 @@ func Trace(h *heap.Heap, seeds []heap.ObjectID, opts TraceOpts) TraceStats {
 
 // traceFast is the cache-linear mark loop for the common pure-marking pass
 // (no callbacks, no page touching): it walks the heap's struct-of-arrays
-// view — dense size/live/mark tables plus the CSR edge arena — so each
-// visit reads a few contiguous bytes per object instead of loading Object
-// records and chasing per-object ref slices.
+// view — the mark/size column plus the CSR edge arena — and carries each
+// object's size in its queue entry, so a visit reads only its span word and
+// its edges.
 //
 // Observable results are identical to the generic loop even though the DFS
 // visit order is not: a pure-marking pass reports only the mark set and
@@ -345,7 +324,7 @@ func Depths(h *heap.Heap) DepthTable {
 	}
 	queue := scratch.Queue[:0]
 	for _, id := range h.Roots() {
-		if id != heap.NilObject && h.Object(id).Live() && depths[id] == Unreachable {
+		if h.Live(id) && depths[id] == Unreachable {
 			depths[id] = 0
 			queue = append(queue, heap.TraceItem{ID: id})
 		}
@@ -353,8 +332,8 @@ func Depths(h *heap.Heap) DepthTable {
 	for head := 0; head < len(queue); head++ {
 		id := queue[head].ID
 		d := depths[id]
-		for _, ref := range h.Object(id).Refs {
-			if ref == heap.NilObject || !h.Object(ref).Live() {
+		for _, ref := range h.Refs(id) {
+			if !h.Live(ref) {
 				continue
 			}
 			if depths[ref] == Unreachable {

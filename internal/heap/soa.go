@@ -1,13 +1,21 @@
 package heap
 
-import "sync/atomic"
-
-// This file holds the struct-of-arrays side of the heap: the dense
-// per-object tables (sizes, liveness, marks, region indexes) and the CSR
-// edge arena that backs every Object.Refs slice. The layout exists for the
-// GC trace hot path: a mark pass over the SoA view reads a few bytes per
-// object from contiguous tables instead of loading scattered ~96-byte
-// Object records and chasing per-object slice headers.
+// This file holds the struct-of-arrays layout of the heap: the dense
+// per-object columns (sizes and marks, liveness, region indexes, sequence
+// numbers, addresses, epochs, allocation GC counts, access times) and the
+// CSR edge arena that holds every object's references. The columns are the
+// only home of object state — Object is a value view assembled from them —
+// and none holds a Go pointer, so Go's collector never scans them. A mark
+// pass reads a few bytes per object from contiguous
+// columns instead of loading scattered records.
+//
+// Column invariants:
+//
+//   - Every column has the same length (one past the largest ObjectID
+//     issued) and the same capacity; growSoA extends them together.
+//   - Slot 0 is NilObject: never live, its mark half holds deadMark.
+//   - Dead slots keep their last tenant's state until the ObjectID is
+//     recycled by Alloc, which rewrites every column of the slot.
 //
 // Edge-arena invariants:
 //
@@ -15,10 +23,10 @@ import "sync/atomic"
 //     high half of the packed span word espan[id] (off<<32 | len); the
 //     first len entries are its references. Spans of distinct slots never
 //     overlap.
-//   - Object.Refs is a three-index alias of the span
-//     (edges[off : off+len : off+ecap]), re-pointed by setRefsView
-//     whenever the span's offset or length changes, and by
-//     refreshRefViews whenever the arena's backing array moves.
+//   - References are read through Heap.Refs (or a View's EdgeSpans and
+//     Edges), which re-derives the span from espan on every call; nothing
+//     holds a slice into the arena across a mutation, so span relocation
+//     and arena reallocation need no fix-up.
 //   - A span that outgrows its capacity is extended in place when it is
 //     the arena's last span, otherwise relocated to the arena end; the
 //     orphaned slots are counted in edgeWaste.
@@ -66,64 +74,62 @@ func (h *Heap) span(id ObjectID) (off, n int32) {
 // the rewrite.
 const compactMinArena = 4096
 
-// compatEdgesFlag switches newly created heaps to the legacy per-object
-// []ObjectID edge layout. Only the equivalence harness sets it.
-var compatEdgesFlag atomic.Bool
+// minColumnCap is the object-table capacity of a fresh heap.
+const minColumnCap = 256
 
-// SetCompatEdges makes heaps created after the call store reference edges
-// as classic per-object slices instead of the CSR arena. The two layouts
-// must be observationally identical; the digest-equivalence tests run
-// every experiment under both and compare snapshot digests bitwise.
-func SetCompatEdges(v bool) { compatEdgesFlag.Store(v) }
-
-// CompatEdgesEnabled reports the current default edge layout.
-func CompatEdgesEnabled() bool { return compatEdgesFlag.Load() }
-
-// CompatEdges reports whether this heap uses the legacy edge layout.
-func (h *Heap) CompatEdges() bool { return h.compatEdges }
-
-// growSoA appends one zeroed entry to every dense table, keeping them in
-// lockstep with the object table (len(objects) has already been grown by
-// the caller). The common case reslices within capacity: fresh backing
-// memory is zeroed by the runtime and slots past len are never written,
-// so extending the length exposes a zero entry without any stores.
-func (h *Heap) growSoA() {
-	n := len(h.objects)
-	if n <= cap(h.msize) && n <= cap(h.liveb) && n <= cap(h.regionIdx) &&
-		n <= cap(h.espan) && n <= cap(h.ecap) {
-		h.msize = h.msize[:n]
-		h.liveb = h.liveb[:n]
-		h.regionIdx = h.regionIdx[:n]
-		h.espan = h.espan[:n]
-		h.ecap = h.ecap[:n]
-		return
+// growSoA appends one slot to every per-object column and returns its
+// ObjectID. All columns share one capacity, so a single check decides
+// whether the append fits; when it does not, every column is reallocated
+// at double the capacity. Fresh backing memory is zeroed by the runtime
+// and slots past len are never written, so extending the length exposes
+// zero entries without any stores.
+func (h *Heap) growSoA() ObjectID {
+	n := len(h.liveb)
+	if n == cap(h.liveb) {
+		c := max(2*n, minColumnCap)
+		h.msize = regrow(h.msize, c)
+		h.liveb = regrow(h.liveb, c)
+		h.regionIdx = regrow(h.regionIdx, c)
+		h.seq = regrow(h.seq, c)
+		h.addr = regrow(h.addr, c)
+		h.epoch = regrow(h.epoch, c)
+		h.allocGC = regrow(h.allocGC, c)
+		h.lastAccess = regrow(h.lastAccess, c)
+		h.espan = regrow(h.espan, c)
+		h.ecap = regrow(h.ecap, c)
 	}
-	h.msize = append(h.msize, 0)
-	h.liveb = append(h.liveb, 0)
-	h.regionIdx = append(h.regionIdx, 0)
-	h.espan = append(h.espan, 0)
-	h.ecap = append(h.ecap, 0)
+	h.msize = h.msize[:n+1]
+	h.liveb = h.liveb[:n+1]
+	h.regionIdx = h.regionIdx[:n+1]
+	h.seq = h.seq[:n+1]
+	h.addr = h.addr[:n+1]
+	h.epoch = h.epoch[:n+1]
+	h.allocGC = h.allocGC[:n+1]
+	h.lastAccess = h.lastAccess[:n+1]
+	h.espan = h.espan[:n+1]
+	h.ecap = h.ecap[:n+1]
+	return ObjectID(n)
 }
 
-// setRefsView re-points the object's public Refs field at its current
-// span. The capacity index stops an (erroneous) append through the view
-// from clobbering a neighbouring span.
-func (h *Heap) setRefsView(id ObjectID) {
-	off, n := h.span(id)
-	h.objects[id].Refs = h.edges[off : off+n : off+h.ecap[id]]
+// regrow copies s into a fresh column of capacity c.
+func regrow[T any](s []T, c int) []T {
+	ns := make([]T, len(s), c)
+	copy(ns, s)
+	return ns
 }
 
-// refreshRefViews re-points every object's Refs alias; needed whenever the
-// arena's backing array moves (growth reallocation or compaction). Cost is
-// O(objects), amortized against the doubling growth that triggered it.
-func (h *Heap) refreshRefViews() {
-	for id := 1; id < len(h.objects); id++ {
-		off, n := h.span(ObjectID(id))
-		h.objects[id].Refs = h.edges[off : off+n : off+h.ecap[id]]
-	}
+// Refs returns id's outgoing references: a read-only view of its span in
+// the edge arena, valid until the next reference mutation or allocation on
+// the heap. The view's capacity equals its length, so an append through it
+// copies instead of writing into the arena.
+func (h *Heap) Refs(id ObjectID) []ObjectID {
+	s := h.espan[id]
+	off := s >> 32
+	end := off + s&0xffffffff
+	return h.edges[off:end:end]
 }
 
-// appendEdge appends one reference to id's span (CSR layout).
+// appendEdge appends one reference to id's span.
 func (h *Heap) appendEdge(id, to ObjectID) {
 	_, n := h.span(id)
 	if n == h.ecap[id] {
@@ -132,12 +138,11 @@ func (h *Heap) appendEdge(id, to ObjectID) {
 	off, _ := h.span(id)
 	h.edges[off+n] = to
 	h.espan[id] = packSpan(off, n+1)
-	h.setRefsView(id)
 }
 
-// setEdge writes id's i-th reference slot, NilObject-filling any gap (CSR
-// layout). Gap filling is explicit because a recycled span may still hold
-// the dead tenant's edges beyond its length.
+// setEdge writes id's i-th reference slot, NilObject-filling any gap. Gap
+// filling is explicit because a recycled span may still hold the dead
+// tenant's edges beyond its length.
 func (h *Heap) setEdge(id ObjectID, i int, to ObjectID) {
 	need := int32(i + 1)
 	if need > h.ecap[id] {
@@ -150,7 +155,6 @@ func (h *Heap) setEdge(id ObjectID, i int, to ObjectID) {
 	}
 	h.edges[off+int32(i)] = to
 	h.espan[id] = packSpan(off, n)
-	h.setRefsView(id)
 }
 
 // extendArena grows the arena's length by add slots without initialising
@@ -177,7 +181,6 @@ func (h *Heap) growSpan(id ObjectID, need int32) {
 	for newCap < need {
 		newCap *= 2
 	}
-	oldBacking := cap(h.edges)
 	off, n := h.span(id)
 	if cur > 0 && int(off)+int(cur) == len(h.edges) {
 		h.extendArena(int(newCap - cur))
@@ -189,11 +192,6 @@ func (h *Heap) growSpan(id ObjectID, need int32) {
 		h.espan[id] = packSpan(newOff, n)
 	}
 	h.ecap[id] = newCap
-	if cap(h.edges) != oldBacking {
-		h.refreshRefViews()
-	} else {
-		h.setRefsView(id)
-	}
 	h.maybeCompactEdges()
 }
 
@@ -219,7 +217,6 @@ func (h *Heap) maybeCompactEdges() {
 	}
 	h.edges = fresh
 	h.edgeWaste = 0
-	h.refreshRefViews()
 }
 
 // View is the collectors' window onto the heap's struct-of-arrays tables.
@@ -242,13 +239,9 @@ type View struct {
 	// Gen is the current mark generation (set by BeginTrace).
 	Gen uint32
 	// EdgeSpans and Edges are the CSR edge arena: object id's span word is
-	// off<<32 | len, its references Edges[off : off+len]. Not meaningful
-	// when Compat is set.
+	// off<<32 | len, its references Edges[off : off+len].
 	EdgeSpans []uint64
 	Edges     []ObjectID
-	// Compat is true when this heap stores edges per object (legacy
-	// layout); read Object.Refs instead of the arena then.
-	Compat bool
 }
 
 // SoAView returns the current struct-of-arrays view for a tracing pass.
@@ -259,6 +252,5 @@ func (h *Heap) SoAView() View {
 		Gen:       h.markGen,
 		EdgeSpans: h.espan,
 		Edges:     h.edges,
-		Compat:    h.compatEdges,
 	}
 }

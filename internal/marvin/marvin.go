@@ -106,8 +106,7 @@ func (m *Marvin) StubBytes() int64 { return m.stubBytes }
 // object granularity by Marvin itself). The runtime calls this after every
 // Alloc, while the fresh pages are still resident.
 func (m *Marvin) PinAllocation(id heap.ObjectID) {
-	o := m.h.Object(id)
-	m.vm.Pin(m.h.AS, o.Addr, int64(o.Size))
+	m.vm.Pin(m.h.AS, m.h.Addr(id), int64(m.h.Size(id)))
 }
 
 // NoteAccess must be called when a mutator touches an object: a bookmarked
@@ -117,16 +116,16 @@ func (m *Marvin) NoteAccess(id heap.ObjectID) {
 	if _, ok := m.bookmarked[id]; !ok {
 		return
 	}
-	o := m.h.Object(id)
 	delete(m.bookmarked, id)
-	m.stubBytes -= stubSize(o)
+	m.stubBytes -= m.stubSize(id)
 	// The page fault itself was paid by heap.Access; re-pin so the kernel
 	// LRU leaves the revived object alone.
-	m.vm.Pin(m.h.AS, o.Addr, int64(o.Size))
+	m.vm.Pin(m.h.AS, m.h.Addr(id), int64(m.h.Size(id)))
 }
 
-func stubSize(o *heap.Object) int64 {
-	return StubBytesBase + StubBytesPerRef*int64(len(o.Refs))
+// stubSize is the resident size of id's reference stub.
+func (m *Marvin) stubSize(id heap.ObjectID) int64 {
+	return StubBytesBase + StubBytesPerRef*int64(len(m.h.Refs(id)))
 }
 
 // SwapOutCold is Marvin's proactive reclaimer: evict up to budgetBytes of
@@ -147,8 +146,7 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 			return // already a swap region
 		}
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID || o.Size < m.Threshold {
+			if !h.Live(id) || h.RegionID(id) != r.ID || h.Size(id) < m.Threshold {
 				continue
 			}
 			if h.IsRoot(id) {
@@ -157,10 +155,11 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 			if _, done := m.bookmarked[id]; done {
 				continue
 			}
-			if now-o.LastAccess < m.ColdWindow {
+			last := h.LastAccess(id)
+			if now-last < m.ColdWindow {
 				continue
 			}
-			cands = append(cands, cand{id, o.LastAccess})
+			cands = append(cands, cand{id, last})
 		}
 	})
 	// Object LRU: oldest access first.
@@ -178,15 +177,14 @@ func (m *Marvin) SwapOutCold(now time.Duration, budgetBytes int64) (objects int,
 		if bytes >= budgetBytes {
 			break
 		}
-		o := h.Object(c.id)
 		// The old copy's pages stay pinned until the next RunGC compacts
 		// the from-regions away (they may share pages with resident
 		// neighbours); DRAM is therefore reclaimed at GC, as in Marvin.
 		ev.Copy(c.id, heap.KindCold)
 		m.bookmarked[c.id] = struct{}{}
-		m.stubBytes += stubSize(o)
+		m.stubBytes += m.stubSize(c.id)
 		objects++
-		bytes += int64(o.Size)
+		bytes += int64(h.Size(c.id))
 		pause += SwapOutSTWPerObject
 	}
 	// Materialize the copies' pages before advising them out: AdviseCold
@@ -251,18 +249,18 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 	ev.PinDest = true
 	for _, r := range ordinary {
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionID(id) != r.ID {
 				continue
 			}
+			size := int64(h.Size(id))
 			if h.Marked(id) {
 				ev.Copy(id, heap.KindNormal)
 				res.ObjectsCopied++
-				res.BytesCopied += int64(o.Size)
-				res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
+				res.BytesCopied += size
+				res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*size)
 			} else {
 				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
+				res.BytesFreed += size
 				h.KillObject(id)
 			}
 		}
@@ -284,23 +282,23 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 	for _, r := range swapRegions {
 		liveLeft := 0
 		for _, id := range r.Objects {
-			o := h.Object(id)
-			if !o.Live() || o.Region != r.ID {
+			if !h.Live(id) || h.RegionID(id) != r.ID {
 				continue
 			}
-			slot := units.PagesFor(int64(o.Size)) * units.PageSize
-			slotBase := o.Addr
+			size := int64(h.Size(id))
+			slot := units.PagesFor(size) * units.PageSize
+			slotBase := h.Addr(id)
 			if !h.Marked(id) {
 				// Dead: drop stub (if still bookmarked).
 				if _, ok := m.bookmarked[id]; ok {
 					delete(m.bookmarked, id)
-					m.stubBytes -= stubSize(o)
+					m.stubBytes -= m.stubSize(id)
 				}
 				if m.StrictObjectSlots {
 					m.vm.ReleaseRange(h.AS, slotBase, slot)
 				}
 				res.ObjectsFreed++
-				res.BytesFreed += int64(o.Size)
+				res.BytesFreed += size
 				h.KillObject(id)
 				continue
 			}
@@ -311,8 +309,8 @@ func (m *Marvin) RunGC(now time.Duration) gc.Result {
 			// Revived (resident) object: compact it back.
 			ev.Copy(id, heap.KindNormal)
 			res.ObjectsCopied++
-			res.BytesCopied += int64(o.Size)
-			res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*int64(o.Size))
+			res.BytesCopied += size
+			res.GCThreadCPU += gc.CopyCPU + vmem.DRAMCost(2*size)
 			if m.StrictObjectSlots {
 				m.vm.Unpin(h.AS, slotBase, slot)
 				m.vm.ReleaseRange(h.AS, slotBase, slot)

@@ -111,7 +111,7 @@ func TestSwapAmplificationStrictSlots(t *testing.T) {
 		t.Errorf("swap wrote %d pages for 8 sub-page objects, want 8 (amplified)", writes)
 	}
 	for _, id := range ids {
-		if vm.Resident(h.AS, h.Object(id).Addr) {
+		if vm.Resident(h.AS, h.Addr(id)) {
 			t.Error("evicted object still resident")
 		}
 	}
@@ -241,7 +241,7 @@ func TestFaultBackRevivesObject(t *testing.T) {
 	if m.IsBookmarked(id) {
 		t.Error("bookmark not shed on access")
 	}
-	if !vm.Resident(h.AS, h.Object(id).Addr) {
+	if !vm.Resident(h.AS, h.Addr(id)) {
 		t.Error("object not resident after access")
 	}
 	// Next GC compacts it back into an ordinary pinned region.
@@ -288,7 +288,7 @@ func TestHeapPagesPinnedAgainstKernelLRU(t *testing.T) {
 	// Nothing was silently paged out by the kernel: every non-bookmarked
 	// object is resident.
 	for _, id := range ids {
-		if !m.IsBookmarked(id) && !vm.Resident(h.AS, h.Object(id).Addr) {
+		if !m.IsBookmarked(id) && !vm.Resident(h.AS, h.Addr(id)) {
 			t.Fatal("pinned Marvin heap page was reclaimed by the kernel LRU")
 		}
 	}
@@ -316,7 +316,7 @@ func TestGCLivenessWithMixedResidency(t *testing.T) {
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ref := range h.Object(id).Refs {
+		for _, ref := range h.Refs(id) {
 			if ref != heap.NilObject && !reach[ref] {
 				reach[ref] = true
 				stack = append(stack, ref)

@@ -190,7 +190,7 @@ func HeapDigest(hp *heap.Heap) Digest {
 		h.Byte(byte(r.Kind))
 		h.U64(uint64(len(r.Objects)))
 	})
-	hp.ForEachLiveObject(func(id heap.ObjectID, o *heap.Object) {
+	hp.ForEachLiveObject(func(id heap.ObjectID, o heap.Object) {
 		h.I32(int32(id))
 		h.U64(o.Seq)
 		h.I32(o.Size)
@@ -198,8 +198,9 @@ func HeapDigest(hp *heap.Heap) Digest {
 		h.I32(o.Region)
 		h.Byte(byte(o.Epoch))
 		h.Dur(o.LastAccess)
-		h.U64(uint64(len(o.Refs)))
-		for _, ref := range o.Refs {
+		refs := hp.Refs(id)
+		h.U64(uint64(len(refs)))
+		for _, ref := range refs {
 			h.I32(int32(ref))
 		}
 	})

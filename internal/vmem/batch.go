@@ -18,25 +18,30 @@ import (
 // transitions saturate), and one balance check per page instead of one per
 // object.
 //
-// The zero value is ready to use; ApplyBatch resets the batch for reuse.
+// A batch is bound to one address space, so its records carry no pointer:
+// the access buffer is noscan memory Go's collector skips. ApplyBatch
+// resets the batch for reuse.
 type Batch struct {
+	as   *mem.AddressSpace
 	accs []access
 }
 
-// access is one recorded Touch: a byte range of one address space.
+// NewBatch returns an empty batch of touches to as.
+func NewBatch(as *mem.AddressSpace) *Batch { return &Batch{as: as} }
+
+// access is one recorded Touch: a byte range of the batch's address space.
 type access struct {
-	as         *mem.AddressSpace
 	addr, size int64
 	write      bool
 	pin        bool
 }
 
-// Touch records an access to [addr, addr+size) of as.
-func (b *Batch) Touch(as *mem.AddressSpace, addr, size int64, write bool) {
+// Touch records an access to [addr, addr+size).
+func (b *Batch) Touch(addr, size int64, write bool) {
 	if size <= 0 {
 		return
 	}
-	b.accs = append(b.accs, access{as: as, addr: addr, size: size, write: write})
+	b.accs = append(b.accs, access{addr: addr, size: size, write: write})
 }
 
 // TouchPin records a write that must also pin its pages (Marvin's
@@ -45,11 +50,11 @@ func (b *Batch) Touch(as *mem.AddressSpace, addr, size int64, write bool) {
 // reclaim — so reclaim cannot steal an earlier destination page
 // mid-batch, matching the pin-as-you-copy behaviour of the per-object
 // path.
-func (b *Batch) TouchPin(as *mem.AddressSpace, addr, size int64, write bool) {
+func (b *Batch) TouchPin(addr, size int64, write bool) {
 	if size <= 0 {
 		return
 	}
-	b.accs = append(b.accs, access{as: as, addr: addr, size: size, write: write, pin: true})
+	b.accs = append(b.accs, access{addr: addr, size: size, write: write, pin: true})
 }
 
 // Len returns the number of recorded accesses pending.
@@ -61,7 +66,6 @@ func (b *Batch) Reset() { b.accs = b.accs[:0] }
 // pageRun is the collapsed form of consecutive recorded touches of one
 // page: how many accesses hit it and whether any wrote or pinned.
 type pageRun struct {
-	as    *mem.AddressSpace
 	idx   int64
 	count int
 	write bool
@@ -87,7 +91,7 @@ func (m *Manager) ApplyBatch(b *Batch) (time.Duration, error) {
 		if run.count == 0 {
 			return
 		}
-		io, err := m.applyRun(&run)
+		io, err := m.applyRun(b.as, &run)
 		stall += io
 		if err != nil && firstErr == nil {
 			firstErr = err
@@ -99,14 +103,14 @@ func (m *Manager) ApplyBatch(b *Batch) (time.Duration, error) {
 		first := units.PageIndex(a.addr)
 		last := units.PageIndex(a.addr + a.size - 1)
 		for pi := first; pi <= last; pi++ {
-			if run.count > 0 && run.as == a.as && run.idx == pi {
+			if run.count > 0 && run.idx == pi {
 				run.count++
 				run.write = run.write || a.write
 				run.pin = run.pin || a.pin
 				continue
 			}
 			flush()
-			run = pageRun{as: a.as, idx: pi, count: 1, write: a.write, pin: a.pin}
+			run = pageRun{idx: pi, count: 1, write: a.write, pin: a.pin}
 		}
 	}
 	flush()
@@ -122,8 +126,8 @@ func (m *Manager) ApplyBatch(b *Batch) (time.Duration, error) {
 // fault, since re-touches move no frames. The pin bit is set even when the
 // touch failed (the per-object path pinned unconditionally after its
 // touch attempt).
-func (m *Manager) applyRun(run *pageRun) (time.Duration, error) {
-	p := run.as.PageAt(run.idx)
+func (m *Manager) applyRun(as *mem.AddressSpace, run *pageRun) (time.Duration, error) {
+	p := as.PageAt(run.idx)
 	stall, err := m.touchPage(p, run.write)
 	if run.pin {
 		p.Pinned = true

@@ -2,6 +2,7 @@ package vmem
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -400,5 +401,19 @@ func TestAdviseColdFailsSoftWhenSwapFull(t *testing.T) {
 	}
 	if m.Stats().SwapWriteFails == 0 {
 		t.Error("failed swap-outs not counted")
+	}
+}
+
+// TestBatchRecordsPointerFree keeps the batch's access records noscan: the
+// address space lives on the Batch, not in every record.
+func TestBatchRecordsPointerFree(t *testing.T) {
+	rt := reflect.TypeOf(access{})
+	for i := 0; i < rt.NumField(); i++ {
+		if k := rt.Field(i).Type.Kind(); k != reflect.Int64 && k != reflect.Bool {
+			t.Errorf("access.%s has kind %v; records must stay pointer-free", rt.Field(i).Name, k)
+		}
+	}
+	if rt.Size() != 24 {
+		t.Errorf("access record is %d bytes, want 24", rt.Size())
 	}
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Runs the hot-path micro-benchmarks (GC trace, page-table lookup, fleetd
-# per-job service overhead, the zram store/load round trip) plus the
+# Runs the hot-path micro-benchmarks (GC trace, heap allocation,
+# page-table lookup, fleetd per-job service overhead, the zram store/load
+# round trip) plus the
 # end-to-end per-policy device-tick bench and the population campaign's
 # per-device cost, and writes the raw `go test -json` stream to $BENCH_OUT
 # (default BENCH_5.json) at the repo root.
@@ -16,9 +17,9 @@ cd "$(dirname "$0")/.."
 
 out=${BENCH_OUT:-BENCH_5.json}
 count=${BENCH_COUNT:-1}
-go test -run '^$' -bench 'TraceHotPath|PageLookup|PageRangeWalk|ServiceJob|DeviceTick|ZramSwapOut' \
+go test -run '^$' -bench 'TraceHotPath|HeapAlloc|PageLookup|PageRangeWalk|ServiceJob|DeviceTick|ZramSwapOut' \
 	-benchmem -count "$count" -json \
-	"$@" ./internal/gc ./internal/mem ./internal/vmem ./internal/service ./internal/core ./internal/population | tee "$out" | \
+	"$@" ./internal/gc ./internal/heap ./internal/mem ./internal/vmem ./internal/service ./internal/core ./internal/population | tee "$out" | \
 	grep -o '"Output":"Benchmark[^"]*' | sed 's/"Output":"//; s/\\t/\t/g; s/\\n//' || true
 
 echo "wrote $out"
