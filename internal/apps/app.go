@@ -182,7 +182,7 @@ func (a *App) growChain(now time.Duration, epoch heap.Epoch) (time.Duration, int
 	var bytes int64
 	view := a.views[a.R.Intn(len(a.views))]
 	length := 1 + a.R.Intn(6)
-	c := chain{view: view, slot: a.nextSlot(view)}
+	c := chain{view: view, slot: a.nextSlot(view), ids: make([]heap.ObjectID, 0, length)}
 	parent := view
 	for i := 0; i < length; i++ {
 		size := a.Sizes.Sample(a.R)

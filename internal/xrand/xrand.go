@@ -5,7 +5,11 @@
 // releases, which would silently change experiment outputs).
 package xrand
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
 // Rand is a deterministic random source. It is NOT safe for concurrent use;
 // each simulated component owns its own Rand derived from a master seed.
@@ -19,6 +23,11 @@ type Rand struct {
 	// stream is bit-identical.
 	zmemo [2]zipfMemo
 	znext uint8
+	// ztab caches the shared acceptance tables (see zipfTable) of the
+	// last two skews drawn, so a draw never touches the registry. Slots
+	// fill round-robin on miss.
+	ztab   [2]*zipfTable
+	ztnext uint8
 }
 
 // zipfMemo is one cached set of rejection-inversion bounds; n == 0 marks
@@ -136,21 +145,18 @@ func (r *Rand) Zipf(n int, s float64) int {
 	}
 	// Simple inversion on the truncated zeta CDF computed incrementally
 	// would be O(n); instead use the standard rejection sampler.
-	v := 1.0
-	q := s
-	oneMinusQ := 1 - q
-	oneMinusQInv := 1 / oneMinusQ
-	hx0, hn := r.zipfBounds(n, s, oneMinusQ, oneMinusQInv)
+	t := r.zipfTable(s)
+	hx0, hn := r.zipfBounds(n, s, t.oneMinusQ, t.oneMinusQInv)
 	for {
 		u := hn + r.Float64()*(hx0-hn)
-		x := helperHInv(u, oneMinusQ, oneMinusQInv)
+		x := helperHInv(u, t.oneMinusQ, t.oneMinusQInv)
 		k := math.Floor(x + 0.5)
 		if k < 0 {
 			k = 0
 		} else if k > float64(n-1) {
 			k = float64(n - 1)
 		}
-		if u >= helperH(k+0.5, oneMinusQ, oneMinusQInv)-math.Exp(-q*math.Log(k+v)) {
+		if u >= t.accept(int(k)) {
 			return int(k)
 		}
 	}
@@ -180,6 +186,115 @@ func helperH(x, oneMinusQ, oneMinusQInv float64) float64 {
 
 func helperHInv(x, oneMinusQ, oneMinusQInv float64) float64 {
 	return math.Exp(oneMinusQInv*math.Log(oneMinusQ*x)) - 1
+}
+
+// zipfAccept is the rejection bound at integer rank k: a draw u that
+// lands on k is accepted iff u >= zipfAccept(k, ...). It depends only on
+// the skew q and k, never on n, which is what lets zipfTable share it.
+func zipfAccept(k, q, oneMinusQ, oneMinusQInv float64) float64 {
+	return helperH(k+0.5, oneMinusQ, oneMinusQInv) - math.Exp(-q*math.Log(k+1))
+}
+
+// zipfTable holds zipfAccept(k) for k = 0, 1, ... at one skew. It is a
+// pure cache of a pure function: every entry is computed by zipfAccept
+// itself, so a table hit returns the same bits as computing the bound,
+// and the draw stream does not depend on which Rands shared the table or
+// in what order it grew. Readers load the entries lock-free; growth is
+// copy-on-write under mu, so a published slice is never written again.
+type zipfTable struct {
+	// s is the skew; oneMinusQ and oneMinusQInv are 1-s and 1/(1-s),
+	// which Zipf takes from here instead of dividing on every draw.
+	s, oneMinusQ, oneMinusQInv float64
+	// shared is false for skews past the registry cap: such a table
+	// stores nothing and every bound is computed directly.
+	shared bool
+	acc    atomic.Pointer[[]float64]
+	mu     sync.Mutex
+}
+
+// minZipfTable is the smallest table a skew gets; tables double from it.
+const minZipfTable = 64
+
+// maxZipfTables caps the skew registry. Skews are caller-chosen (the
+// population campaign's skew is a per-job parameter), so a long-lived
+// process must not grow a table for every value it has ever seen.
+const maxZipfTables = 32
+
+// zipfTables is the process-wide registry of shared tables, one per skew.
+var zipfTables struct {
+	sync.Mutex
+	m map[float64]*zipfTable
+}
+
+// zipfTable returns the table for skew s, from the per-Rand slots when
+// s was drawn recently and from the registry otherwise.
+func (r *Rand) zipfTable(s float64) *zipfTable {
+	for _, t := range r.ztab {
+		if t != nil && t.s == s {
+			return t
+		}
+	}
+	t := sharedZipfTable(s)
+	r.ztab[r.ztnext] = t
+	r.ztnext ^= 1
+	return t
+}
+
+// sharedZipfTable returns the registered table for s, registering a new
+// one while the registry is below its cap. Past the cap it returns an
+// unshared table that computes every bound directly.
+func sharedZipfTable(s float64) *zipfTable {
+	zipfTables.Lock()
+	defer zipfTables.Unlock()
+	if t := zipfTables.m[s]; t != nil {
+		return t
+	}
+	t := &zipfTable{s: s, oneMinusQ: 1 - s}
+	t.oneMinusQInv = 1 / t.oneMinusQ
+	if len(zipfTables.m) < maxZipfTables {
+		if zipfTables.m == nil {
+			zipfTables.m = make(map[float64]*zipfTable, maxZipfTables)
+		}
+		t.shared = true
+		zipfTables.m[s] = t
+	}
+	return t
+}
+
+// accept returns zipfAccept(k) for the table's skew.
+func (t *zipfTable) accept(k int) float64 {
+	if acc := t.acc.Load(); acc != nil && k < len(*acc) {
+		return (*acc)[k]
+	}
+	if !t.shared {
+		return zipfAccept(float64(k), t.s, t.oneMinusQ, t.oneMinusQInv)
+	}
+	return t.grow(k)
+}
+
+// grow publishes a copy of the table that covers rank k, doubling its
+// length (at least minZipfTable) until it does, and returns entry k.
+func (t *zipfTable) grow(k int) float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var acc []float64
+	if p := t.acc.Load(); p != nil {
+		acc = *p
+	}
+	if k >= len(acc) {
+		size := max(minZipfTable, 2*len(acc))
+		for size <= k {
+			size *= 2
+		}
+		next := make([]float64, size)
+		copy(next, acc)
+		for i := len(acc); i < size; i++ {
+			next[i] = zipfAccept(float64(i), t.s, t.oneMinusQ, t.oneMinusQInv)
+		}
+		t.acc.Store(&next)
+		acc = next
+	}
+	return acc[k]
 }
 
 // Perm returns a random permutation of [0, n).
