@@ -12,6 +12,12 @@ package fleetsim_test
 // call, so reporting inside the loop would both record only the last
 // iteration and charge the bookkeeping to the measured region.
 //
+// Experiments built from §7.2 protocol legs (Figs. 3, 13, 15, 16, §7.4
+// and the extensions) share them through the process-wide leg executor:
+// after the first iteration, or once an earlier benchmark in the same run
+// computed the same legs, ns/op measures what the experiment derives from
+// memoized legs rather than the simulation itself.
+//
 // The shapes to compare against the paper are recorded in EXPERIMENTS.md.
 
 import (

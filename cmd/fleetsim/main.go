@@ -295,15 +295,17 @@ func main() {
 	type outcome struct {
 		text string
 		took time.Duration
+		legs *fleet.LegCounts
 	}
 	// Each experiment leg runs supervised: a panic or a -timeout overrun
 	// fails that experiment (reported with its stack) without aborting the
 	// others.
 	run := func(e experiment) outcome {
 		start := time.Now()
+		legs := &fleet.LegCounts{}
 		texts, errs := fleet.SupervisedMap([]experiment{e}, fleet.SupervisePolicy{Deadline: *timeout},
-			func(_ int, e experiment) (string, error) { return e.run(p), nil })
-		o := outcome{texts[0], time.Since(start).Round(time.Millisecond)}
+			func(_ int, e experiment) (string, error) { return e.run(p.WithLegCounts(legs)), nil })
+		o := outcome{texts[0], time.Since(start).Round(time.Millisecond), legs}
 		if len(errs) > 0 {
 			legFailed.Store(true)
 			le := errs[0]
@@ -320,7 +322,7 @@ func main() {
 		for _, e := range selected {
 			o := run(e)
 			fmt.Print(o.text)
-			fmt.Printf("  [%s took %v]\n\n", e.name, o.took)
+			fmt.Printf("  [%s took %v%s]\n\n", e.name, o.took, legNote(o.legs))
 		}
 	} else {
 		results := make([]chan outcome, len(selected))
@@ -342,7 +344,7 @@ func main() {
 		for i, e := range selected {
 			o := <-results[i]
 			fmt.Print(o.text)
-			fmt.Printf("  [%s took %v]\n\n", e.name, o.took)
+			fmt.Printf("  [%s took %v%s]\n\n", e.name, o.took, legNote(o.legs))
 		}
 	}
 
@@ -399,4 +401,19 @@ func writeDivergenceReports(rep fleet.ChaosReport) {
 		}
 		fmt.Fprintf(os.Stderr, "fleetsim: wrote divergence report %s\n", path)
 	}
+}
+
+// legNote renders how an experiment's §7.2 legs were answered for its
+// timing line ("" when it has none): ", 3/3 legs reused", plus the legs a
+// checkpoint store restored.
+func legNote(c *fleet.LegCounts) string {
+	run, reused, restored := c.Run.Load(), c.Reused.Load(), c.Restored.Load()
+	if run+reused+restored == 0 {
+		return ""
+	}
+	note := fmt.Sprintf(", %d/%d legs reused", reused, run+reused+restored)
+	if restored > 0 {
+		note += fmt.Sprintf(", %d restored", restored)
+	}
+	return note
 }

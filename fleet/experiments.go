@@ -111,12 +111,17 @@ func SetPopulationInterrupt(fn func() bool) { experiments.SetPopulationInterrupt
 // population campaign (0 = none).
 func SetPopulationDeadline(d time.Duration) { experiments.SetPopulationDeadline(d) }
 
+// LegCounts tallies how the leg executor answered one experiment's §7.2
+// legs (simulated, reused from the in-process memo, or restored from the
+// checkpoint store); attach it with Params.WithLegCounts.
+type LegCounts = experiments.LegCounts
+
 // SweepCampaignKey is the campaign key for the figure sweeps' checkpoints.
 func SweepCampaignKey(p Params) string { return experiments.SweepCampaignKey(p) }
 
-// SetSweepCheckpointStore installs (nil: removes) the store the figure
-// sweeps (Fig13/Fig15/Fig16) record their policy legs in, making
-// interrupted sweeps resumable.
+// SetSweepCheckpointStore installs (nil: removes) the store the leg
+// executor records every §7.2 protocol leg in (Figs. 3, 13, 15, 16, §7.4
+// and the extension studies), making interrupted sweeps resumable.
 func SetSweepCheckpointStore(st *CheckpointStore) { experiments.SetCheckpointStore(st) }
 
 // SetParallelism sets the process-wide worker count the experiment runners

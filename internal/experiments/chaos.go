@@ -134,7 +134,8 @@ func chaosRun(p Params, cell chaosCell, digestEvery time.Duration) (ChaosRow, []
 		rec = snapshot.NewRecorder(digestEvery)
 		rec.Attach(sys)
 	}
-	runHotLaunchesWithSystem(pp, sys, population, nil)
+	leg := runHotLaunchesWithSystem(pp, sys, population, nil)
+	leg.Telemetry.Publish()
 
 	// One final full sweep after the workload settles.
 	sys.CheckInvariants()

@@ -45,11 +45,16 @@ func TestParallelSerialEquivalence(t *testing.T) {
 		for _, c := range cases {
 			p := detParams(seed)
 
+			// Each run starts from an empty leg memo; otherwise the
+			// parallel runs would only read back the serial run's legs.
+			resetLegs()
 			runner.SetParallelism(1)
 			serial := c.run(p)
 
 			runner.SetParallelism(4)
+			resetLegs()
 			parallelA := c.run(p)
+			resetLegs()
 			parallelB := c.run(p)
 
 			if !reflect.DeepEqual(serial, parallelA) {

@@ -18,24 +18,13 @@ type ExtRow struct {
 	Kills    int
 }
 
-func extRow(label string, r *hotRun) ExtRow {
+func extRow(label string, r *legSummary) ExtRow {
 	return ExtRow{
 		Label:    label,
 		MedianMs: meanOverApps(r.All, func(s *metrics.Sample) float64 { return s.Median() }),
 		P90Ms:    meanOverApps(r.All, func(s *metrics.Sample) float64 { return s.Percentile(90) }),
-		Kills:    r.Sys.M.Kills,
+		Kills:    r.Kills,
 	}
-}
-
-// runWithConfig is runHotLaunches with an arbitrary config mutator.
-func runWithConfig(p Params, policy android.PolicyKind, mutate func(*android.SystemConfig)) *hotRun {
-	pop, measured := pressurePopulation(p, Fig13Apps)
-	cfg := systemConfig(p, policy)
-	cfg.Seed = p.Seed
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	return runHotLaunchesWithSystem(p, android.NewSystem(cfg), pop, measured)
 }
 
 // ExtPrefetch compares stock Android, Android with an ASAP-style launch
@@ -61,10 +50,17 @@ type extLeg struct {
 	mutate func(*android.SystemConfig)
 }
 
-// extLegs fans the configurations out on the pool, preserving order.
+// extLegs fans the configurations out on the pool, preserving order. Each
+// is the §7.2 protocol over Fig. 13's pressure population, so a
+// configuration equal to one already run (an unmutated default, say) is
+// answered by the leg executor without a new simulation.
 func extLegs(p Params, legs ...extLeg) []ExtRow {
 	return runner.Map(legs, func(_ int, l extLeg) ExtRow {
-		return extRow(l.label, runWithConfig(p, l.policy, l.mutate))
+		cfg := systemConfig(p, l.policy)
+		if l.mutate != nil {
+			l.mutate(&cfg)
+		}
+		return extRow(l.label, runLeg(p, Fig13Apps, cfg))
 	})
 }
 

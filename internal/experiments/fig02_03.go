@@ -36,7 +36,6 @@ func Fig2(p Params) []Fig2Row {
 			}
 		}
 		cfg := systemConfig(p, android.PolicyAndroid)
-		cfg.Seed = p.Seed
 		sys := android.NewSystem(cfg)
 		filler := apps.SyntheticProfile("filler", 512, p.SyntheticFootprint()/8)
 
@@ -93,8 +92,6 @@ type Fig3Row struct {
 // was killed simply cannot hot-launch and re-enters the distribution once
 // it is cached again.
 func Fig3(p Params) []Fig3Row {
-	pop, measured := pressurePopulation(p, Fig13Apps)
-
 	// Without swap the device cannot hold the full pressure population at
 	// all (the paper's Android caches only ~11 apps without swap), so the
 	// no-swap baseline runs at the population it can sustain — matching
@@ -103,20 +100,21 @@ func Fig3(p Params) []Fig3Row {
 	if pns.PressureApps > 12 {
 		pns.PressureApps = 12
 	}
-	popNS, measuredNS := pressurePopulation(pns, Fig13Apps)
-	legs := runner.MapN(3, func(i int) *hotRun {
+	legs := runner.MapN(3, func(i int) *legSummary {
 		switch i {
 		case 0:
-			return runHotLaunches(pns, android.PolicyAndroid, popNS, measuredNS, true, 0)
+			cfg := systemConfig(pns, android.PolicyAndroid)
+			cfg.Device = android.Pixel3NoSwap(pns.Scale)
+			return runLeg(pns, Fig13Apps, cfg)
 		case 1:
-			return runHotLaunches(p, android.PolicyAndroid, pop, measured, false, 0)
+			return runLeg(p, Fig13Apps, systemConfig(p, android.PolicyAndroid))
 		default:
-			return runHotLaunches(p, android.PolicyMarvin, pop, measured, false, 0)
+			return runLeg(p, Fig13Apps, systemConfig(p, android.PolicyMarvin))
 		}
 	})
 	noswap, swap, marvin := legs[0], legs[1], legs[2]
 
-	p90 := func(r *hotRun, app string) float64 {
+	p90 := func(r *legSummary, app string) float64 {
 		if s := r.HotOnly[app]; s != nil && s.N() > 0 {
 			return s.Percentile(90)
 		}

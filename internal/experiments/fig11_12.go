@@ -21,7 +21,6 @@ type Fig11Series struct {
 // useTime, and records the alive count after each launch.
 func runCapacity(p Params, policy android.PolicyKind, noSwap bool, profiles []apps.Profile, label string) Fig11Series {
 	cfg := systemConfig(p, policy)
-	cfg.Seed = p.Seed
 	if noSwap {
 		cfg.Device = android.Pixel3NoSwap(p.Scale)
 	}
@@ -80,7 +79,6 @@ func Fig11c(p Params) []Fig11Series {
 	// uses, so run the cycle through an activity-manager walk instead.
 	run := func(policy android.PolicyKind, noSwap bool, label string) Fig11Series {
 		cfg := systemConfig(p, policy)
-		cfg.Seed = p.Seed
 		if noSwap {
 			cfg.Device = android.Pixel3NoSwap(p.Scale)
 		}
@@ -133,7 +131,6 @@ func Fig12a(p Params) []Fig12aRow {
 	}
 	run := func(policy android.PolicyKind, noBGC bool, label string) Fig12aRow {
 		cfg := systemConfig(pq, policy)
-		cfg.Seed = pq.Seed
 		cfg.FleetNoBGC = noBGC
 		sys := android.NewSystem(cfg)
 		procs := map[string]*android.Proc{}
@@ -186,7 +183,6 @@ func Fig12b(p Params) Fig12bResult {
 	res := Fig12bResult{BackSec: 180, FrontSec: 480}
 	run := func(policy android.PolicyKind) []Fig12bPoint {
 		cfg := systemConfig(p, policy)
-		cfg.Seed = p.Seed
 		sys := android.NewSystem(cfg)
 		twitch := *apps.ProfileByName("Twitch", p.Scale)
 		filler := apps.SyntheticProfile("filler", 512, p.SyntheticFootprint()/4)

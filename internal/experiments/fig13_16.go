@@ -109,18 +109,13 @@ func (r Fig13Result) Fig13n() []Fig13nPoint {
 // runFig13Protocol executes the §7.2 protocol for the given measured apps
 // and returns per-app distributions for all three policies.
 func runFig13Protocol(p Params, measuredNames []string) Fig13Result {
-	pop, measured := pressurePopulation(p, measuredNames)
-
 	// The three policy legs are the dominant cost of the §7.2 study and
-	// share nothing but read-only inputs, so they run as pool tasks. Each
-	// leg reduces to a serializable legSummary so a checkpoint store can
-	// answer it on resume; fresh and resumed legs flow through the same
-	// reduction, keeping results bit-identical either way.
+	// share nothing but read-only inputs, so they run as pool tasks through
+	// the leg executor, which answers a leg another experiment already ran
+	// (Fig. 15 reads exactly these three) without simulating it again.
 	policies := []android.PolicyKind{android.PolicyAndroid, android.PolicyMarvin, android.PolicyFleet}
 	legs := runner.Map(policies, func(_ int, pol android.PolicyKind) *legSummary {
-		return checkpointedLeg(p, pol, measuredNames, func() *hotRun {
-			return runHotLaunches(p, pol, pop, measured, false, 0)
-		})
+		return runLeg(p, measuredNames, systemConfig(p, pol))
 	})
 	androidRun, marvinRun, fleetRun := legs[0], legs[1], legs[2]
 

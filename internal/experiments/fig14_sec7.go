@@ -26,7 +26,6 @@ func Fig14(p Params) []Fig14Row {
 	type frames struct{ jank, fps map[string]float64 }
 	run := func(policy android.PolicyKind) frames {
 		cfg := systemConfig(p, policy)
-		cfg.Seed = p.Seed
 		sys := android.NewSystem(cfg)
 		pop, _ := pressurePopulation(p, Fig13Apps)
 		procs := map[string]*android.Proc{}
@@ -88,7 +87,6 @@ const (
 func Sec73(p Params) Sec73Result {
 	run := func(policy android.PolicyKind) (gcShare, power float64) {
 		cfg := systemConfig(p, policy)
-		cfg.Seed = p.Seed
 		sys := android.NewSystem(cfg)
 		names := Fig13Apps[:8]
 		pop, _ := pressurePopulation(p, names)
@@ -165,7 +163,6 @@ func Sec74(p Params) []Sec74Row {
 	return runner.Map(legs, func(_ int, l cfgLeg) Sec74Row {
 		// Capacity with synthetic apps.
 		cfg := systemConfig(p, l.pol)
-		cfg.Seed = p.Seed
 		cfg.BgHeapGrowth = l.growth
 		sys := android.NewSystem(cfg)
 		maxCached := 0
@@ -177,10 +174,9 @@ func Sec74(p Params) []Sec74Row {
 			}
 		}
 
-		// Hot launch medians with the pressure protocol.
-		pq := p.Quick()
-		pop, measured := pressurePopulation(pq, Fig13Apps[:6])
-		run := runHotLaunches(pq, l.pol, pop, measured, false, l.growth)
+		// Hot launch medians with the pressure protocol on the same
+		// configuration.
+		run := runLeg(p.Quick(), Fig13Apps[:6], cfg)
 		med := meanOverApps(run.All, func(s *metrics.Sample) float64 { return s.Median() })
 		return Sec74Row{
 			Policy:      l.pol.String(),

@@ -49,6 +49,10 @@ type Params struct {
 	// the compressed-RAM device (Pixel3Zram). Frontends validate the name
 	// with vmem.ParseBackend before running.
 	Backend string
+
+	// legs, when set, tallies how the leg executor answered this call's
+	// legs (see WithLegCounts).
+	legs *LegCounts
 }
 
 // DefaultParams match the calibration used throughout the test suite.
@@ -77,52 +81,21 @@ func (p Params) SyntheticFootprint() int64 {
 	return 180 * units.MiB / p.Scale
 }
 
-// hotRun is the shared engine for the launch-time experiments: launch a
+// runHotLaunchesWithSystem executes the §7.2 protocol on sys: launch a
 // population of apps, then switch among the measured subset in randomized
 // rounds, recording every switch's latency. A measured app that lmkd killed
 // re-launches cold, and that slow launch lands in the same distribution —
-// exactly what a user (and ADB) would observe.
-type hotRun struct {
-	Policy android.PolicyKind
-	Sys    *android.System
-	// All switch latencies (ms) per measured app, cold relaunches
-	// included.
-	All map[string]*metrics.Sample
-	// HotOnly keeps only true hot launches (app was cached).
-	HotOnly map[string]*metrics.Sample
-	// ColdCount / HotCount tally launch kinds over measured apps.
-	ColdCount, HotCount int
-}
-
-// runHotLaunches executes the §7.2 protocol.
+// exactly what a user (and ADB) would observe. measured selects which apps'
+// launches are recorded (nil records all of them).
 //
-// population are the processes to keep alive (the paper's "memory
-// pressure with about 10 background apps"); measured selects which apps'
-// launches are recorded. noSwap disables the swap partition (the Fig. 3
-// baseline) and bgGrowth overrides the background heap-growth factor
-// (§7.4), with 0 meaning default.
-func runHotLaunches(p Params, policy android.PolicyKind, population []apps.Profile,
-	measured map[string]bool, noSwap bool, bgGrowth float64) *hotRun {
-
-	cfg := systemConfig(p, policy)
-	cfg.Seed = p.Seed
-	if noSwap {
-		cfg.Device = android.Pixel3NoSwap(p.Scale)
-	}
-	if bgGrowth > 0 {
-		cfg.BgHeapGrowth = bgGrowth
-	}
-	return runHotLaunchesWithSystem(p, android.NewSystem(cfg), population, measured)
-}
-
-// runHotLaunchesWithSystem is the protocol body over a prebuilt system
-// (extensions mutate the config first).
+// The summary carries the run's telemetry record unpublished; runLeg
+// publishes it the same way whether the leg ran fresh or was reused.
+// Experiments go through runLeg; the chaos harness calls this directly
+// because it runs every cell twice on purpose.
 func runHotLaunchesWithSystem(p Params, sys *android.System, population []apps.Profile,
-	measured map[string]bool) *hotRun {
+	measured map[string]bool) *legSummary {
 
-	run := &hotRun{
-		Policy:  sys.Cfg.Policy,
-		Sys:     sys,
+	run := &legSummary{
 		All:     map[string]*metrics.Sample{},
 		HotOnly: map[string]*metrics.Sample{},
 	}
@@ -153,21 +126,22 @@ func runHotLaunchesWithSystem(p Params, sys *android.System, population []apps.P
 			sys.Use(p.UseTime)
 		}
 	}
-	// Publish the finished run's aggregates into the sim-telemetry bridge
-	// (a no-op unless a daemon installed a registry). After the protocol
-	// body on purpose: the bridge is write-only and post-hoc, so telemetry
-	// cannot change what the run computed.
-	sys.PublishTelemetry()
+	run.Kills = sys.M.Kills
+	// Capture after the protocol body on purpose: the record is read-only
+	// and post-hoc, so telemetry cannot change what the run computed.
+	run.Telemetry = sys.CaptureTelemetry()
 	return run
 }
 
 // systemConfig is the one place experiment legs turn Params into a system
 // configuration: the policy's defaults at p.Scale, on the device p.Backend
-// selects ("" or "flash" → the flash Pixel 3, "zram" → Pixel3Zram). Legs
-// apply their own seed and mutations afterwards. An unknown backend panics;
-// frontends validate the name with vmem.ParseBackend before dispatching.
+// selects ("" or "flash" → the flash Pixel 3, "zram" → Pixel3Zram), seeded
+// from p.Seed. Legs apply their own mutations afterwards. An unknown
+// backend panics; frontends validate the name with vmem.ParseBackend
+// before dispatching.
 func systemConfig(p Params, policy android.PolicyKind) android.SystemConfig {
 	cfg := android.DefaultSystemConfig(policy, p.Scale)
+	cfg.Seed = p.Seed
 	kind, ok := vmem.ParseBackend(p.Backend)
 	if !ok {
 		panic(fmt.Sprintf("experiments: unknown swap backend %q (valid: %v)", p.Backend, vmem.BackendNames()))

@@ -9,6 +9,7 @@ import (
 
 	"fleetsim/internal/android"
 	"fleetsim/internal/snapshot"
+	"fleetsim/internal/telemetry"
 )
 
 func chaosTestParams() Params {
@@ -104,9 +105,11 @@ func TestChaosDeadlineDoesNotAbortCampaign(t *testing.T) {
 	}
 }
 
-// TestCheckpointedLegSkipsRerun proves a sweep leg recorded in the store is
-// answered without re-running the simulation, and that the summary survives
-// the JSON round trip intact.
+// TestCheckpointedLegSkipsRerun proves a leg recorded in the checkpoint
+// store is answered without re-running the simulation once the in-process
+// memo is gone (a resumed process), that the summary survives the JSON
+// round trip intact, and that the restored leg publishes the same
+// sim-telemetry observations as the fresh run did.
 func TestCheckpointedLegSkipsRerun(t *testing.T) {
 	p := DefaultParams()
 	p.Rounds = 1
@@ -118,41 +121,42 @@ func TestCheckpointedLegSkipsRerun(t *testing.T) {
 	}
 	SetCheckpointStore(st)
 	defer SetCheckpointStore(nil)
+	defer telemetry.SetSimRegistry(nil)
 
 	measured := []string{Fig13Apps[0]}
-	pop, meas := pressurePopulation(p, measured)
-	var runs atomic.Int32
-	leg := func() *legSummary {
-		return checkpointedLeg(p, android.PolicyFleet, measured, func() *hotRun {
-			runs.Add(1)
-			return runHotLaunches(p, android.PolicyFleet, pop, meas, false, 0)
-		})
+	leg := func() (*legSummary, *LegCounts, string) {
+		reg := telemetry.NewRegistry()
+		telemetry.SetSimRegistry(reg)
+		var c LegCounts
+		ls := runLeg(p.WithLegCounts(&c), measured, systemConfig(p, android.PolicyFleet))
+		return ls, &c, simExposition(t, reg)
 	}
-	first := leg()
-	if runs.Load() != 1 {
-		t.Fatalf("first leg ran %d times, want 1", runs.Load())
+	resetLegs()
+	first, c, firstExpo := leg()
+	if c.Run.Load() != 1 {
+		t.Fatalf("first leg: %d run, want 1", c.Run.Load())
 	}
 	st.Close()
 
-	// Reopen: the cached leg must answer without re-running.
+	// Reopen with an empty memo: the store must answer without re-running.
 	st2, err := snapshot.Open(path, SweepCampaignKey(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
 	SetCheckpointStore(st2)
-	second := leg()
-	if runs.Load() != 1 {
-		t.Fatalf("checkpointed leg re-ran the simulation (%d runs)", runs.Load())
+	resetLegs()
+	second, c, secondExpo := leg()
+	if c.Restored.Load() != 1 || c.Run.Load() != 0 {
+		t.Fatalf("checkpointed leg: %d run, %d restored; want 0 and 1", c.Run.Load(), c.Restored.Load())
 	}
-	if first.Kills != second.Kills || first.Policy != second.Policy ||
-		first.ColdCount != second.ColdCount || first.HotCount != second.HotCount {
-		t.Errorf("cached summary differs: %+v vs %+v", first, second)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("restored summary differs:\nfresh:    %+v\nrestored: %+v", first, second)
 	}
-	for name, s := range first.All {
-		cached := second.All[name]
-		if cached == nil || !reflect.DeepEqual(s.Values(), cached.Values()) {
-			t.Errorf("app %s: cached sample differs", name)
-		}
+	if firstExpo != secondExpo {
+		t.Errorf("restored leg published different telemetry:\nfresh:\n%s\nrestored:\n%s", firstExpo, secondExpo)
+	}
+	if firstExpo == "" {
+		t.Error("leg published no telemetry")
 	}
 }

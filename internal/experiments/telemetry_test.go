@@ -12,15 +12,25 @@ import (
 
 // runForDigest executes a small hot-launch protocol and returns the final
 // system digest plus a rendered summary, so both the simulation state and
-// the reported numbers can be compared bitwise across telemetry modes.
+// the reported numbers can be compared bitwise across telemetry modes. It
+// builds the system itself (snapshot.Capture needs it) rather than going
+// through the leg executor, which keeps only the summary.
 func runForDigest() (snapshot.SystemDigest, string) {
 	p := DefaultParams().Quick()
 	p.Rounds = 2
-	pop := allCommercial(p)[:4]
-	run := runHotLaunches(p, android.PolicyFleet, pop, nil, false, 0)
+	sys, run := runDirect(p, android.PolicyFleet)
 	out := fmt.Sprintf("hot=%d cold=%d mean=%.6f",
 		run.HotCount, run.ColdCount, meanOverApps(run.All, (*metrics.Sample).Mean))
-	return snapshot.Capture(run.Sys), out
+	return snapshot.Capture(sys), out
+}
+
+// runDirect runs the protocol over four commercial apps on a fresh system
+// and publishes its telemetry, bypassing the leg executor.
+func runDirect(p Params, policy android.PolicyKind) (*android.System, *legSummary) {
+	sys := android.NewSystem(systemConfig(p, policy))
+	run := runHotLaunchesWithSystem(p, sys, allCommercial(p)[:4], nil)
+	run.Telemetry.Publish()
+	return sys, run
 }
 
 // TestTelemetryDoesNotPerturbDeterminism is the tentpole's safety
@@ -105,8 +115,7 @@ func TestZramTelemetryFamilies(t *testing.T) {
 	p := DefaultParams().Quick()
 	p.Rounds = 2
 	p.Backend = "zram"
-	pop := allCommercial(p)[:4]
-	runHotLaunches(p, android.PolicyFleet, pop, nil, false, 0)
+	runDirect(p, android.PolicyFleet)
 
 	policy := android.PolicyFleet.String()
 	get := func(name, help string) int64 {

@@ -16,7 +16,6 @@ import (
 // frontends serve byte-identical traces for the same params and policy.
 func CaptureTrace(p Params, policy android.PolicyKind) *trace.Log {
 	cfg := systemConfig(p, policy)
-	cfg.Seed = p.Seed
 	sys := android.NewSystem(cfg)
 	log := sys.EnableTrace(0)
 	profiles := apps.CommercialProfiles(p.Scale)[:6]

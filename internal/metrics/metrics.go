@@ -86,6 +86,14 @@ func (s *Sample) AddAll(xs ...float64) {
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
+// Clone returns an independent copy with the observations in their
+// current order. Reads sort a Sample in place and Mean sums in the current
+// order, so a Sample shared between readers leaks one reader's order into
+// another's floats (and races); share clones instead.
+func (s *Sample) Clone() *Sample {
+	return &Sample{xs: append([]float64(nil), s.xs...), sorted: s.sorted}
+}
+
 // Values returns the observations sorted ascending. The returned slice is
 // owned by the Sample; callers must not modify it.
 func (s *Sample) Values() []float64 {
